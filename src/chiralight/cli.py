@@ -24,7 +24,7 @@ import sys
 import numpy as np
 from scipy.optimize import brentq
 
-from . import optics, presets
+from . import coherences, optics, presets
 from . import pulse as pulse_mod
 from .errors import ConfigurationError, NoRootInBracket, NumericalError
 from .params import (C_LIGHT, MediumParams, SystemParams, load_config,
@@ -96,28 +96,18 @@ def parse_float_list(text: str, flag: str) -> list:
 
 
 def _resolve(args):
-    """Build the working config from --preset and/or --config."""
+    """Build the working config from --preset and/or --config.
+
+    The --config document overrides the preset (or the defaults)
+    field by field.
+    """
     scenario = presets.get(args.preset) if args.preset else None
-    if args.config:
-        if scenario is not None:
-            base = to_dict(scenario.config())
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            unknown = sorted(set(doc) - {"system", "medium"})
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown top-level config keys {unknown} "
-                    "(expected only 'system' and 'medium')")
-            cfg = with_overrides(
-                validate(SystemParams(**base["system"]),
-                         MediumParams(**base["medium"])),
-                system=doc.get("system"), medium=doc.get("medium"))
-        else:
-            cfg = load_config(args.config)
-    elif scenario is not None:
+    if scenario is not None:
         cfg = scenario.config()
     else:
         cfg = validate(SystemParams(), MediumParams())
+    if args.config:
+        cfg = load_config(args.config, base=cfg)
     return cfg, scenario
 
 
@@ -334,15 +324,17 @@ def cmd_calibrate(args) -> int:
         c = with_overrides(cfg, medium={"density_coupling": float(kappa)})
         return optics.group_index_at(c, delta_p, mode=mode).N_g - args.target
 
-    g_lo, g_hi = gap(lo), gap(hi)
-    if np.sign(g_lo) == np.sign(g_hi):
-        raise NoRootInBracket(
-            f"N_g({lo:g}) - target = {g_lo:.6g} and N_g({hi:g}) - target = "
-            f"{g_hi:.6g} have the same sign; the target group index "
-            f"{args.target:g} is not reachable in this bracket")
-    kappa = float(brentq(gap, lo, hi, xtol=1e-30,
-                         rtol=4 * np.finfo(float).eps))
-    achieved = gap(kappa) + args.target
+    # the betas do not depend on kappa_e: solve each stencil input once
+    with coherences.reuse_betas():
+        g_lo, g_hi = gap(lo), gap(hi)
+        if np.sign(g_lo) == np.sign(g_hi):
+            raise NoRootInBracket(
+                f"N_g({lo:g}) - target = {g_lo:.6g} and N_g({hi:g}) - target = "
+                f"{g_hi:.6g} have the same sign; the target group index "
+                f"{args.target:g} is not reachable in this bracket")
+        kappa = float(brentq(gap, lo, hi, xtol=1e-30,
+                             rtol=4 * np.finfo(float).eps))
+        achieved = gap(kappa) + args.target
     calibrated = with_overrides(cfg, medium={"density_coupling": kappa})
     doc = {
         "calibration": {
@@ -502,12 +494,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        for v in getattr(exc, "violations", None) or []:
-            print(f"  - {v}", file=sys.stderr)
+        print(f"configuration error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        for v in exc.violations:
+            print(f"  - {type(v).__name__}: {v}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",

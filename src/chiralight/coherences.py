@@ -16,10 +16,17 @@ well conditioned; the test suite enforces this equivalence.
 All functions broadcast over numpy arrays of detunings / velocity
 shifts, so a full (detuning grid) x (quadrature node) tensor can be
 solved in one batched call.
+
+The betas depend on the drive fields, detunings and decays only, never
+on the density coupling.  Inside :func:`reuse_betas` the response layer
+therefore solves each (system, kv, delta_p) input once and reuses the
+coefficients, which is what a root search over kappa_e needs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,10 @@ from .params import SystemParams, ValidatedConfig
 # Frobenius condition number above which the steady-state system is
 # treated as singular (double precision leaves ~4 digits of headroom).
 COND_LIMIT = 1.0e12
+
+# Beta coefficients by input key while a reuse_betas() scope is open in
+# this thread or task, None outside every scope.
+_memo = contextvars.ContextVar("chiralight_betas_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -239,3 +250,42 @@ def closed_form_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoef
         beta_be=(1j * o1 * o2 - 2.0 * o3 * a2 / eip) / D,
         beta_bb=-1j * (o2 ** 2 + 4.0 * a1 * a2) / D,
     )
+
+
+@contextlib.contextmanager
+def reuse_betas():
+    """Scope in which response assembly reuses solved beta coefficients.
+
+    Each distinct (system, kv, delta_p) input is solved once by
+    :func:`steady_betas`; a repeat returns the same coefficient object,
+    so results are bit-identical to solving again.  Nested scopes share
+    the outermost memo, which is dropped when that scope exits.
+    """
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _input_key(a):
+    if a is None:
+        return None
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _betas_at(cfg: ValidatedConfig, kv, delta_p) -> CoherenceCoefficients:
+    """steady_betas at the raw inputs, memoised inside reuse_betas()."""
+    memo = _memo.get()
+    if memo is None:
+        return steady_betas(cfg, shift_detunings(cfg.system, kv, delta_p=delta_p))
+    key = (cfg.system, _input_key(kv), _input_key(delta_p))
+    betas = memo.get(key)
+    if betas is None:
+        betas = steady_betas(cfg, shift_detunings(cfg.system, kv, delta_p=delta_p))
+        memo[key] = betas
+    return betas

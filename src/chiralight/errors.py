@@ -47,6 +47,15 @@ class NonPositiveCoupling(ConfigurationError):
     """A coupling/scale constant violates its positivity domain."""
 
 
+class BadPulseSpec(ConfigurationError):
+    """A pulse width, carrier, window or sample count is non-finite or
+    outside its domain."""
+
+
+class NonPositiveTolerance(ConfigurationError):
+    """A root-finder tolerance is zero, negative or non-finite."""
+
+
 # --- numerical errors ----------------------------------------------------
 
 class SingularSystem(NumericalError):

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import response as response_mod
-from .errors import BranchJump, GridTooCoarse, NoCrossoverInRange, NumericalError
+from .errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
+                     NonPositiveTolerance, NumericalError)
 from .params import C_LIGHT, ValidatedConfig, with_overrides
 
 # |n_{i+1} - n_i| above this along a spectrum means the branch tracker
@@ -236,8 +237,11 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
     Bisects N_g_cold(omega_3) - N_g_hot(omega_3) at the probe detuning
     stored in cfg.  ng_pair may inject an alternative
     omega_3 -> (N_g_cold, N_g_hot) evaluator (used by tests with
-    synthetic dispersions).
+    synthetic dispersions).  Raises NonPositiveTolerance unless xtol is
+    finite and > 0.
     """
+    if not (np.isfinite(xtol) and xtol > 0):
+        raise NonPositiveTolerance(f"xtol must be finite and > 0, got {xtol!r}")
     if ng_pair is None:
         def ng_pair(o3):
             c = with_overrides(cfg, system={"omega_3": float(o3)})

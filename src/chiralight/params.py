@@ -168,36 +168,51 @@ def to_dict(cfg: ValidatedConfig) -> dict:
     return {"system": asdict(cfg.system), "medium": asdict(cfg.medium)}
 
 
-def from_dict(doc: dict) -> ValidatedConfig:
-    """Parse the nested config document; unknown keys are a hard error."""
+def from_dict(doc: dict, base: ValidatedConfig | None = None) -> ValidatedConfig:
+    """Parse the nested config document; unknown keys are a hard error.
+
+    Fields the document leaves out keep their value in ``base`` (the
+    defaults if None), so a document can override a preset field by
+    field.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config document must be a mapping, got {type(doc).__name__}")
-    sys_fields, med_fields = _field_names()
     unknown_sections = set(doc) - {"system", "medium"}
     if unknown_sections:
         raise ConfigurationError(
-            f"unknown config sections: {sorted(unknown_sections)}")
+            f"unknown top-level config sections {sorted(unknown_sections)} "
+            "(expected only 'system' and 'medium')")
     sys_doc = doc.get("system", {})
     med_doc = doc.get("medium", {})
+    for name, section in (("system", sys_doc), ("medium", med_doc)):
+        if not isinstance(section, dict):
+            raise ConfigurationError(
+                f"config section {name!r} must be a mapping, got "
+                f"{type(section).__name__}")
+    sys_fields, med_fields = _field_names()
     bad = sorted(set(sys_doc) - sys_fields) + sorted(set(med_doc) - med_fields)
     if bad:
         raise ConfigurationError(f"unknown config keys: {bad}")
-    system = SystemParams(**sys_doc)
-    medium = MediumParams(**med_doc)
-    return validate(system, medium)
+    system = base.system if base is not None else SystemParams()
+    medium = base.medium if base is not None else MediumParams()
+    return validate(replace(system, **sys_doc), replace(medium, **med_doc))
 
 
-def loads(text: str) -> ValidatedConfig:
+def loads(text: str, base: ValidatedConfig | None = None) -> ValidatedConfig:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config is not valid JSON: {e}") from e
-    return from_dict(doc)
+    return from_dict(doc, base=base)
 
 
-def load_config(path) -> ValidatedConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+def load_config(path, base: ValidatedConfig | None = None) -> ValidatedConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigurationError(f"cannot read config {path}: {e}") from e
+    return loads(text, base=base)
 
 
 def with_overrides(cfg: ValidatedConfig, system=None, medium=None) -> ValidatedConfig:

@@ -28,18 +28,28 @@ E(t) = (1/2pi) * integral E(nu) e^{+i nu t} d nu.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import optics
-from .errors import AliasingDetected, FlatTrace, WindowTooNarrow
+from .errors import AliasingDetected, BadPulseSpec, FlatTrace, WindowTooNarrow
 from .params import C_LIGHT, ValidatedConfig
 
 # Fraction of |E| tolerated at a window edge before declaring the
 # window too narrow / the transform aliased.
 EDGE_AMPLITUDE_TOL = 1.0e-8
 EDGE_ENERGY_TOL = 1.0e-6
+
+
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _positive(x) -> bool:
+    return _finite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,18 @@ class PulseSpec:
     omega_0: float = 1.0e13
     n_samples: int = 2 ** 14
     window_tau: float = 64.0
+
+    def __post_init__(self):
+        bad = [f"{name} must be finite and > 0, got {getattr(self, name)!r}"
+               for name in ("tau_0", "omega_0", "window_tau")
+               if not _positive(getattr(self, name))]
+        if not _finite(self.delta):
+            bad.append(f"delta must be finite, got {self.delta!r}")
+        n = self.n_samples
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            bad.append(f"n_samples must be an integer >= 2, got {n!r}")
+        if bad:
+            raise BadPulseSpec("invalid pulse: " + "; ".join(bad))
 
     @property
     def delta_w(self) -> float:

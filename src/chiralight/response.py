@@ -62,9 +62,12 @@ def response_from_betas(b: coherences.CoherenceCoefficients,
 
 
 def response_at(cfg: ValidatedConfig, kv, delta_p=None) -> OpticalResponse:
-    """Single-velocity response; broadcasts over kv and delta_p arrays."""
-    sd = coherences.shift_detunings(cfg.system, kv, delta_p=delta_p)
-    betas = coherences.steady_betas(cfg, sd)
+    """Single-velocity response; broadcasts over kv and delta_p arrays.
+
+    Inside ``coherences.reuse_betas()`` the betas of a repeated
+    (system, kv, delta_p) input are reused rather than solved again.
+    """
+    betas = coherences._betas_at(cfg, kv, delta_p)
     k = derived_couplings(cfg.medium)
     return response_from_betas(betas, k["kappa_e"], cfg.medium.dipole_ratio)
 

@@ -32,6 +32,13 @@ def parse_csv(text):
     return header, rows
 
 
+def _assert_named_config_error(code, out, err, name):
+    assert code == 2
+    assert out == ""
+    assert f"configuration error: {name}:" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -298,6 +305,11 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
+def test_unreadable_config_path_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "spectrum", "--config", str(tmp_path))
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": {"omega_3": 1.0}}))
@@ -329,3 +341,34 @@ def test_config_override_on_preset(tmp_path, capsys):
     # fig2b is fig2a with omega_3 = 1.0 and the same thermal width, so
     # the field-by-field override must reproduce it byte-for-byte
     assert out == out_fig2b
+
+
+@pytest.mark.parametrize("preset", [(), ("--preset", "fig2a")])
+def test_null_config_section_exits_2(tmp_path, capsys, preset):
+    bad = tmp_path / "null.json"
+    bad.write_text(json.dumps({"system": None}))
+    code, out, err = run(capsys, "spectrum", *preset, "--config", str(bad))
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert "'system' must be a mapping" in err
+
+
+@pytest.mark.parametrize("content", [b'{"system": {', b'\xff\xfe{}'])
+def test_malformed_config_file_over_preset_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "malformed.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "spectrum", "--preset", "fig2a",
+                         "--config", str(bad))
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+
+
+@pytest.mark.parametrize("tau0", ["0", "-1"])
+def test_non_positive_pulse_width_exits_2(capsys, tau0):
+    code, out, err = run(capsys, "pulse", "--preset", "fig8ab", "--tau0", tau0)
+    _assert_named_config_error(code, out, err, "BadPulseSpec")
+    assert "tau_0" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-3"])
+def test_non_positive_crossover_tolerance_exits_2(capsys, tol):
+    code, out, err = run(capsys, "crossover", "--preset", "fig7", "--tol", tol)
+    _assert_named_config_error(code, out, err, "NonPositiveTolerance")

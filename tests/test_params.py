@@ -98,3 +98,21 @@ def test_with_overrides_revalidates():
 
 def test_phi_default_is_quarter_turn():
     assert SystemParams().phi == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"system": None}, {"medium": None}, {"system": [1.0]}, {"medium": "x"},
+])
+def test_non_mapping_section_is_configuration_error(doc):
+    with pytest.raises(errors.ConfigurationError, match="must be a mapping"):
+        from_dict(doc)
+
+
+def test_document_overrides_base_field_by_field():
+    base = validate(SystemParams(omega_3=1.5), MediumParams(v_doppler=0.3))
+    cfg = from_dict({"system": {"omega_1": 0.2}}, base=base)
+    assert cfg.system.omega_1 == 0.2
+    assert cfg.system.omega_3 == 1.5
+    assert cfg.medium.v_doppler == 0.3
+    with pytest.raises(errors.ConfigurationError, match="not valid JSON"):
+        loads('{"system": {', base=base)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from chiralight import optics, presets, pulse
-from chiralight.errors import AliasingDetected, FlatTrace, WindowTooNarrow
+from chiralight.errors import (AliasingDetected, BadPulseSpec, FlatTrace,
+                              WindowTooNarrow)
 from chiralight.params import C_LIGHT
 
 L = 0.06
@@ -207,3 +208,14 @@ def test_wraparound_detected_for_forced_window():
     n_edge = 0.5 * period * C_LIGHT / L
     with pytest.raises(AliasingDetected, match="edge energy"):
         pulse.propagate_numeric(ps, pulse.quadratic_wavenumber(n_edge, 0.0), L, t)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau_0", 0.0), ("tau_0", -1e-9), ("tau_0", float("nan")),
+    ("omega_0", 0.0), ("omega_0", float("inf")), ("window_tau", -64.0),
+    ("delta", float("nan")), ("n_samples", 1), ("n_samples", 2.5),
+    ("n_samples", True),
+])
+def test_pulse_spec_rejects_out_of_domain_values(field, value):
+    with pytest.raises(BadPulseSpec, match=field):
+        pulse.PulseSpec(**{field: value})

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from chiralight import errors
+from chiralight import coherences, errors, presets
 from chiralight.coherences import CoherenceCoefficients, closed_form_betas, shift_detunings
-from chiralight.params import MediumParams, SystemParams, validate
+from chiralight.optics import group_index_at
+from chiralight.params import MediumParams, SystemParams, validate, with_overrides
 from chiralight.response import (OpticalResponse, response_at,
                                  response_from_betas, spectrum)
 
@@ -140,3 +141,72 @@ def test_response_scales_linearly_in_kappa_to_leading_order():
     # the feedback denominator makes this approximate at the 1e-8 level
     assert complex(np.asarray(r2.chi_e)) == pytest.approx(
         2 * complex(np.asarray(r1.chi_e)), rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# beta reuse scope (the betas do not depend on kappa_e)
+
+
+def _fig8ab(kappa=1.0, **system):
+    return with_overrides(presets.get("fig8ab").config(), system=system,
+                          medium={"density_coupling": kappa})
+
+
+@pytest.fixture
+def steady_calls(monkeypatch):
+    """Count steady_betas calls made through the coherences module."""
+    calls = []
+    real = coherences.steady_betas
+
+    def counted(p, sd):
+        calls.append(p.system)
+        return real(p, sd)
+
+    monkeypatch.setattr(coherences, "steady_betas", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["cold", "hot"])
+def test_reused_betas_leave_group_index_bit_identical(mode):
+    kappas = (3.92e-8, 1.0, 4.5e3)  # across a calibrate bracket
+    outside = [group_index_at(_fig8ab(k), 0.0, mode=mode).N_g for k in kappas]
+    with coherences.reuse_betas():
+        inside = [group_index_at(_fig8ab(k), 0.0, mode=mode).N_g for k in kappas]
+    assert inside == outside
+
+
+def test_second_kappa_on_same_stencil_solves_nothing(steady_calls):
+    with coherences.reuse_betas():
+        group_index_at(_fig8ab(1.0), 0.0, mode="hot")
+        first = len(steady_calls)
+        assert first > 0
+        group_index_at(_fig8ab(2.0), 0.0, mode="hot")
+        assert len(steady_calls) == first
+    # outside the scope every evaluation solves again
+    group_index_at(_fig8ab(2.0), 0.0, mode="hot")
+    assert len(steady_calls) == 2 * first
+
+
+def test_changed_control_field_misses_the_memo(steady_calls):
+    grid = np.linspace(-1.0, 1.0, 5)
+    with coherences.reuse_betas():
+        response_at(_fig8ab(), 0.0, delta_p=grid)
+        response_at(_fig8ab(kappa=2.0), 0.0, delta_p=grid)
+        assert len(steady_calls) == 1
+        response_at(_fig8ab(omega_3=1.3), 0.0, delta_p=grid)
+        assert len(steady_calls) == 2
+        assert steady_calls[-1].omega_3 == 1.3
+
+
+def test_memo_dropped_when_scope_exits():
+    cfg = _fig8ab()
+    with coherences.reuse_betas():
+        with coherences.reuse_betas():  # nested scopes share one memo
+            response_at(cfg, 0.0, delta_p=[0.0, 0.1])
+        assert len(coherences._memo.get()) == 1
+    assert coherences._memo.get() is None
+    with pytest.raises(RuntimeError):
+        with coherences.reuse_betas():
+            response_at(cfg, 0.0, delta_p=[0.0, 0.1])
+            raise RuntimeError("abort inside the scope")
+    assert coherences._memo.get() is None
