@@ -5,8 +5,9 @@ Steady state of the three coupled coherence equations for the vector
 probe fields kept to first order.  Two computation paths exist on
 purpose:
 
-* :func:`solve_steady_state` -- the authoritative 3x3 linear solve
-  Y = -M^-1 X for each probe drive vector;
+* :func:`steady_betas` -- the authoritative 3x3 linear solve
+  Y = -M^-1 X against unit probe drives X; the coherences are linear
+  in omega_p and omega_b, so the betas never depend on them;
 * :func:`closed_form_betas` -- the explicit algebraic expressions for
   the same four coefficients.
 
@@ -37,6 +38,10 @@ from .params import SystemParams, ValidatedConfig
 # Frobenius condition number above which the steady-state system is
 # treated as singular (double precision leaves ~4 digits of headroom).
 COND_LIMIT = 1.0e12
+
+# Unit probe drives as the columns of one right-hand side: (i/2, 0, 0)
+# for omega_p, (0, i/2, 0) for omega_b; broadcasts over stacks of M.
+_UNIT_DRIVES = np.array([[0.5j, 0.0], [0.0, 0.5j], [0.0, 0.0]])
 
 # Beta coefficients by input key while a reuse_betas() scope is open in
 # this thread or task, None outside every scope.
@@ -117,23 +122,21 @@ def denominator_terms(s: SystemParams, sd: ShiftedDetunings) -> DenominatorTerms
 
 
 def build_system_matrix(p: ValidatedConfig, sd: ShiftedDetunings):
-    """Coefficient matrix and probe drive vectors of the steady state.
+    """Coefficient matrix M of the steady state, shape (..., 3, 3).
 
-    Returns (M, X_p, X_b) with M of shape (..., 3, 3) for the unknown
-    vector (rho_14, rho_13, rho_12):
+    Rows for the unknown vector (rho_14, rho_13, rho_12):
 
         row 0:  A1*rho_14 + (i/2)*O3*e^{+i phi}*rho_13 + (i/2)*O2*rho_12
         row 1:  (i/2)*O3*e^{-i phi}*rho_14 + A3*rho_13 + (i/2)*O1*rho_12
         row 2:  (i/2)*O2*rho_14 - (i/2)*O1*rho_13 + A2*rho_12
 
-    X_p = ((i/2)*omega_p, 0, 0) and X_b = (0, (i/2)*omega_b, 0) are the
-    inhomogeneous drives from the unit ground-state population.
+    The drives ((i/2)*omega_p, 0, 0) and (0, (i/2)*omega_b, 0) from the
+    unit ground-state population enter in :func:`solve_steady_state`.
     """
     s = p.system
     dt = denominator_terms(s, sd)
     a1, a2, a3 = np.broadcast_arrays(dt.a1, dt.a2, dt.a3)
-    shape = a1.shape
-    M = np.zeros(shape + (3, 3), dtype=complex)
+    M = np.zeros(a1.shape + (3, 3), dtype=complex)
     c3p = 0.5j * s.omega_3 * np.exp(1j * s.phi)
     c3m = 0.5j * s.omega_3 * np.exp(-1j * s.phi)
     M[..., 0, 0] = a1
@@ -145,19 +148,7 @@ def build_system_matrix(p: ValidatedConfig, sd: ShiftedDetunings):
     M[..., 2, 0] = 0.5j * s.omega_2
     M[..., 2, 1] = -0.5j * s.omega_1
     M[..., 2, 2] = a2
-    X_p = np.zeros(shape + (3,), dtype=complex)
-    X_b = np.zeros(shape + (3,), dtype=complex)
-    X_p[..., 0] = 0.5j * s.omega_p
-    X_b[..., 1] = 0.5j * s.omega_b
-    return M, X_p, X_b
-
-
-def _det3(M):
-    """Closed-form determinant of a (..., 3, 3) stack."""
-    a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
-    d, e, f = M[..., 1, 0], M[..., 1, 1], M[..., 1, 2]
-    g, h, i = M[..., 2, 0], M[..., 2, 1], M[..., 2, 2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return M
 
 
 def _cond_frobenius(M):
@@ -178,13 +169,14 @@ def _cond_frobenius(M):
     return cond
 
 
-def solve_steady_state(M, X_p, X_b) -> CoherenceCoefficients:
-    """Solve Y = -M^-1 X for both drive vectors and normalize to betas.
+def solve_steady_state(M) -> CoherenceCoefficients:
+    """Beta coefficients from the system matrix by one batched solve.
 
-    The probe amplitudes are read back from the drive vectors
-    (X_p[...,0] = (i/2)*omega_p), so the returned coefficients are
-    amplitude-independent.  Raises SingularSystem if the Frobenius
-    condition number exceeds COND_LIMIT anywhere in the batch.
+    Solves Y = -M^-1 X against both unit probe drives at once; the
+    rho_14 and rho_13 rows of Y are the coefficients of omega_p
+    (first column) and omega_b (second column).  Raises SingularSystem
+    if the Frobenius condition number exceeds COND_LIMIT anywhere in
+    the batch.
     """
     M = np.asarray(M, dtype=complex)
     cond = _cond_frobenius(M)
@@ -193,33 +185,23 @@ def solve_steady_state(M, X_p, X_b) -> CoherenceCoefficients:
         raise SingularSystem(
             f"steady-state matrix condition number {worst:.3e} exceeds "
             f"{COND_LIMIT:.1e} (dark-state degeneracy?)")
-    omega_p = np.asarray(X_p)[..., 0] / 0.5j
-    omega_b = np.asarray(X_b)[..., 1] / 0.5j
-    if np.any(omega_p == 0) or np.any(omega_b == 0):
-        raise ValueError("zero probe drive: beta coefficients undefined")
-    X = np.stack([np.asarray(X_p), np.asarray(X_b)], axis=-1)
-    Y = -np.linalg.solve(M, X)
+    Y = -np.linalg.solve(M, _UNIT_DRIVES)
     return CoherenceCoefficients(
-        beta_ee=Y[..., 0, 0] / omega_p,
-        beta_be=Y[..., 1, 0] / omega_p,
-        beta_eb=Y[..., 0, 1] / omega_b,
-        beta_bb=Y[..., 1, 1] / omega_b,
+        beta_ee=Y[..., 0, 0],
+        beta_be=Y[..., 1, 0],
+        beta_eb=Y[..., 0, 1],
+        beta_bb=Y[..., 1, 1],
     )
 
 
 def steady_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficients:
     """Authoritative beta coefficients at the given shifted detunings.
 
-    Same as build_system_matrix + solve_steady_state but with unit
-    probe drives, so it stays defined when omega_p/omega_b are zero
-    (the betas never depend on them).
+    build_system_matrix followed by solve_steady_state; defined for
+    any probe amplitudes, zero included, since the betas never depend
+    on them.
     """
-    M, X_p, X_b = build_system_matrix(p, sd)
-    X_p = X_p.copy()
-    X_b = X_b.copy()
-    X_p[..., 0] = 0.5j
-    X_b[..., 1] = 0.5j
-    return solve_steady_state(M, X_p, X_b)
+    return solve_steady_state(build_system_matrix(p, sd))
 
 
 def closed_form_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficients:

@@ -201,26 +201,22 @@ def hot_response(cfg: ValidatedConfig, delta_p,
     processed in chunks to bound the size of the batched 3x3 solves.
     """
     quad = quad or QuadratureSpec()
-    v_d = cfg.medium.v_doppler
     delta_p = np.asarray(delta_p, dtype=float)
     scalar_in = delta_p.ndim == 0
     grid = np.atleast_1d(delta_p)
 
-    if v_d < COLD_WIDTH:
-        out = response_mod.response_at(cfg, 0.0, delta_p=grid)
-    else:
-        chunk = max(1, _CHUNK_BUDGET // max(quad.max_nodes, 1))
-        parts = []
-        for start in range(0, grid.size, chunk):
-            sub = grid[start:start + chunk]
+    chunk = max(1, _CHUNK_BUDGET // max(quad.max_nodes, 1))
+    parts = []
+    for start in range(0, grid.size, chunk):
+        sub = grid[start:start + chunk]
 
-            def f(kv, _sub=sub):
-                r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None])
-                return r.components()
+        def f(kv, _sub=sub):
+            r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None])
+            return r.components()
 
-            parts.append(doppler_average(f, v_d, quad))
-        comps = [np.concatenate([p[i] for p in parts]) for i in range(4)]
-        out = response_mod.OpticalResponse(*comps)
+        parts.append(doppler_average(f, cfg.medium.v_doppler, quad))
+    comps = [np.concatenate([p[i] for p in parts]) for i in range(4)]
+    out = response_mod.OpticalResponse(*comps)
 
     if scalar_in:
         out = response_mod.OpticalResponse(*(c[0] for c in out.components()))

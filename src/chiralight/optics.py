@@ -104,6 +104,16 @@ def refractive_index(resp: response_mod.OpticalResponse):
     return root + 0.5j * (xi_eh - xi_he)
 
 
+def _richardson(y_m2, y_m1, y_p1, y_p2, h):
+    """Richardson-extrapolated derivative from samples at -2h, -h, +h, +2h.
+
+    Returns (deriv, error estimate); broadcasts over array samples.
+    """
+    d_h = (y_p1 - y_m1) / (2 * h)
+    d_2h = (y_p2 - y_m2) / (4 * h)
+    return (4.0 * d_h - d_2h) / 3.0, np.abs(d_h - d_2h) / 3.0
+
+
 def grid_derivative(y, h):
     """Derivative of uniformly sampled y with spacing h.
 
@@ -118,10 +128,7 @@ def grid_derivative(y, h):
         raise ValueError("need at least 5 samples for the derivative stencil")
     d = np.empty_like(y)
     err = np.full(n, np.nan)
-    d_h = (y[3:-1] - y[1:-3]) / (2 * h)
-    d_2h = (y[4:] - y[:-4]) / (4 * h)
-    d[2:-2] = (4.0 * d_h - d_2h) / 3.0
-    err[2:-2] = np.abs(d_h - d_2h) / 3.0
+    d[2:-2], err[2:-2] = _richardson(y[:-4], y[1:-3], y[3:-1], y[4:], h)
     d[1] = (y[2] - y[0]) / (2 * h)
     d[-2] = (y[-1] - y[-3]) / (2 * h)
     d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2 * h)
@@ -163,10 +170,7 @@ def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
     centers.
     """
     n5, grid, resp_center = _index_on_stencils(cfg, grid, mode, h, quad)
-    d_h = (n5[:, 3] - n5[:, 1]) / (2 * h)
-    d_2h = (n5[:, 4] - n5[:, 0]) / (4 * h)
-    deriv = (4.0 * d_h - d_2h) / 3.0
-    est = np.abs(d_h - d_2h) / 3.0
+    deriv, est = _richardson(n5[:, 0], n5[:, 1], n5[:, 3], n5[:, 4], h)
     floor = 1e-6 * max(float(np.max(np.abs(deriv))), 1e-300)
     bad = est > DERIVATIVE_RTOL * np.maximum(np.abs(deriv), floor)
     if np.any(bad):
@@ -254,6 +258,10 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
         return cold - hot
 
     g_lo, g_hi = gap(omega3_lo), gap(omega3_hi)
+    if g_lo == 0 and g_hi == 0:
+        raise NoCrossoverInRange(
+            "hot and cold group indices are identical at both ends of "
+            f"[{omega3_lo:g}, {omega3_hi:g}] (zero thermal width?)")
     if np.sign(g_lo) == np.sign(g_hi):
         raise NoCrossoverInRange(
             f"N_g_cold - N_g_hot has the same sign ({g_lo:.3g}, {g_hi:.3g}) "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import (
@@ -92,7 +93,8 @@ class ValidatedConfig:
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    """A finite real number; booleans are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def check(system: SystemParams, medium: MediumParams) -> list:
@@ -104,7 +106,7 @@ def check(system: SystemParams, medium: MediumParams) -> list:
             errs.append(NonPositiveDecay(f"{name} must be finite and > 0, got {v!r}"))
     for name in ("alpha_1", "alpha_2", "alpha_3"):
         v = getattr(system, name)
-        if v not in (1, -1, 1.0, -1.0):
+        if isinstance(v, bool) or v not in (1, -1):
             errs.append(BadPropagationSign(f"{name} must be +1 or -1, got {v!r}"))
     for name in ("omega_1", "omega_2", "omega_3", "omega_p", "omega_b"):
         v = getattr(system, name)
@@ -151,16 +153,8 @@ def derived_couplings(medium: MediumParams) -> dict:
 
 # --- (de)serialization ----------------------------------------------------
 
-_SYSTEM_FIELDS = None
-_MEDIUM_FIELDS = None
-
-
-def _field_names():
-    global _SYSTEM_FIELDS, _MEDIUM_FIELDS
-    if _SYSTEM_FIELDS is None:
-        _SYSTEM_FIELDS = {f.name for f in fields(SystemParams)}
-        _MEDIUM_FIELDS = {f.name for f in fields(MediumParams)}
-    return _SYSTEM_FIELDS, _MEDIUM_FIELDS
+_SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemParams))
+_MEDIUM_FIELDS = frozenset(f.name for f in fields(MediumParams))
 
 
 def to_dict(cfg: ValidatedConfig) -> dict:
@@ -189,8 +183,7 @@ def from_dict(doc: dict, base: ValidatedConfig | None = None) -> ValidatedConfig
             raise ConfigurationError(
                 f"config section {name!r} must be a mapping, got "
                 f"{type(section).__name__}")
-    sys_fields, med_fields = _field_names()
-    bad = sorted(set(sys_doc) - sys_fields) + sorted(set(med_doc) - med_fields)
+    bad = sorted(set(sys_doc) - _SYSTEM_FIELDS) + sorted(set(med_doc) - _MEDIUM_FIELDS)
     if bad:
         raise ConfigurationError(f"unknown config keys: {bad}")
     system = base.system if base is not None else SystemParams()

@@ -28,7 +28,6 @@ E(t) = (1/2pi) * integral E(nu) e^{+i nu t} d nu.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -36,16 +35,12 @@ import numpy as np
 
 from . import optics
 from .errors import AliasingDetected, BadPulseSpec, FlatTrace, WindowTooNarrow
-from .params import C_LIGHT, ValidatedConfig
+from .params import C_LIGHT, ValidatedConfig, _finite
 
 # Fraction of |E| tolerated at a window edge before declaring the
 # window too narrow / the transform aliased.
 EDGE_AMPLITUDE_TOL = 1.0e-8
 EDGE_ENERGY_TOL = 1.0e-6
-
-
-def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _positive(x) -> bool:
@@ -182,9 +177,7 @@ def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold",
     stencil = h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     curve = optics.group_index_curve(cfg, stencil, mode=mode, h=h, quad=quad)
     ng = curve.N_g
-    d_h = (ng[3] - ng[1]) / (2 * h)
-    d_2h = (ng[4] - ng[0]) / (4 * h)
-    dng = (4.0 * d_h - d_2h) / 3.0
+    dng, _ = optics._richardson(ng[0], ng[1], ng[3], ng[4], h)
     g_vd = dng / (C_LIGHT * cfg.medium.gamma_unit)
     return {"n_0": float(ng[2]), "g_vd": float(g_vd)}
 

@@ -372,3 +372,26 @@ def test_non_positive_pulse_width_exits_2(capsys, tau0):
 def test_non_positive_crossover_tolerance_exits_2(capsys, tol):
     code, out, err = run(capsys, "crossover", "--preset", "fig7", "--tol", tol)
     _assert_named_config_error(code, out, err, "NonPositiveTolerance")
+
+
+@pytest.mark.parametrize("doc,name", [
+    ({"medium": {"v_doppler": True}}, "NegativeDopplerWidth"),
+    ({"system": {"alpha_3": True}}, "BadPropagationSign"),
+])
+def test_boolean_config_value_exits_2(tmp_path, capsys, doc, name):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "delay", "--preset", "fig8ab", "--config", str(bad))
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert f"  - {name}:" in err
+
+
+def test_crossover_with_zero_thermal_width_names_identical_indices(tmp_path, capsys):
+    cold = tmp_path / "cold.json"
+    cold.write_text(json.dumps({"medium": {"v_doppler": 0}}))
+    code, out, err = run(capsys, "crossover", "--preset", "fig7", "--config", str(cold))
+    assert code == 3
+    assert out == ""
+    assert "NoCrossoverInRange" in err
+    assert "hot and cold group indices are identical" in err
+    assert "Traceback" not in err

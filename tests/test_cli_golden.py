@@ -1,0 +1,44 @@
+"""Byte-identity guard on the fast README commands.
+
+Each command runs in-process through ``cli.main``; the test asserts
+exit 0 and the SHA-256 of everything it wrote to stdout.  A refactor
+that claims unchanged outputs must keep every digest.
+
+The digests pin the numbers this host's numpy/LAPACK build produces
+(the last printed digit can follow the BLAS kernel in use).  An
+intentional numeric change regenerates them from the new stdout and
+says so in CHANGES.md, naming the commands whose bytes moved.
+"""
+
+import hashlib
+
+import pytest
+
+from chiralight.cli import main
+
+GOLDEN = {
+    "spectrum --preset fig2a --grid -10:10:2001":
+        "48cfe07a4b8f2b95346c5571e14dc9f867d2c10e34d5ffa485618334cf8faf6f",
+    "delay --preset fig7 --omega3 0.7,1,1.5,5 --mode both":
+        "16fc83b63393c2d481d64bbe38a16c85d4dbff8d111cf8733bb83bc2cd3f3b0a",
+    "crossover --preset fig7":
+        "e6a280b8f089c4edc1d5b6c545df1aaf0cb6a0530a42702cdfe5648ccc98862f",
+    "pulse --preset fig8ab":
+        "c5a836fff2b287bcff678d05af3137cc298994176f1eba23484021476ddc1b6e",
+    "pulse --preset fig8ab --vacuum":
+        "757e4ac43528d9f272e31cf6f0b7d1f90b4461afda4e02f0eb98576c2e83e864",
+    "calibrate --preset fig8ab --target 1415.65":
+        "a7da884950948c0dfbbdf839723496852ab64ec7e58fbf58fc64f8b503480f91",
+    "calibrate --preset fig8ab --target 1618.15 --mode hot --quantity n_0":
+        "0ccf7abf56731c3a9122a110f188701c585a2a6f2f1f15339595ac3870fc7b22",
+    "preset-dump fig2":
+        "78b52a251fa1cd520e0f99ebe98bbabfe599ce876d062e76462fea66bb9d387a",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_readme_command_stdout_is_unchanged(capsys, command):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -157,6 +157,13 @@ def test_hot_response_cold_limit(subluminal_cfg, default_cfg):
     for a, b in zip(hot.components(), cold.components()):
         err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
         assert err <= 1e-6 * np.max(np.abs(np.asarray(b)))
+    # below COLD_WIDTH the average returns the kv = 0 response bit for bit
+    for v_d in (0.0, 0.5 * COLD_WIDTH):
+        cold_cfg = with_overrides(subluminal_cfg, medium={"v_doppler": v_d})
+        hot = hot_response(cold_cfg, grid)
+        cold = response_at(cold_cfg, 0.0, delta_p=grid)
+        for a, b in zip(hot.components(), cold.components()):
+            assert np.array_equal(a, b)
 
 
 def test_hot_absorption_exceeds_cold_at_resonance(subluminal_cfg):
