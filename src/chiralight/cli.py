@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,13 +43,18 @@ def _fmt(value) -> str:
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "%.12g" % float(value)
+    return "%.12g" % (float(value) + 0.0)  # + 0.0 prints -0.0 as 0
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+    """Plain JSON types for value, recursively; -0.0 becomes 0.0."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value) + 0.0
+    if isinstance(value, np.integer):
         return int(value)
     return value
 
@@ -66,6 +72,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigurationError(
             f"bad --grid {text!r}: lo, hi must be numbers and count an "
             "integer") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigurationError(f"bad --grid {text!r}: lo, hi must be finite")
     if count < 1:
         raise ConfigurationError(f"bad --grid {text!r}: empty grid (count < 1)")
     if count == 1:
@@ -112,35 +120,38 @@ def _resolve(args):
 
 
 def _modes(args, scenario) -> list:
-    mode = args.mode
-    if mode is None:
-        mode = scenario.mode if scenario is not None else "cold"
-    if mode not in _MODES:
-        raise ConfigurationError(
-            f"bad --mode {mode!r}: expected one of {', '.join(_MODES)}")
+    mode = args.mode or (scenario.mode if scenario is not None else "cold")
     return ["cold", "hot"] if mode == "both" else [mode]
 
 
 @contextlib.contextmanager
 def _out_stream(args):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
+    if not args.out:
         yield sys.stdout
+        return
+    try:
+        fh = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {args.out}: {exc}") from None
+    with fh:
+        yield fh
+
+
+def _write_json(args, doc) -> int:
+    with _out_stream(args) as fh:
+        fh.write(json.dumps(_jsonable(doc), indent=2))
+        fh.write("\n")
+    return 0
 
 
 def _emit(args, columns, rows):
     """Write rows (list of dicts) as CSV or JSON with %.12g formatting."""
+    if args.format == "json":
+        return _write_json(args, [{k: r.get(k) for k in columns} for r in rows])
     with _out_stream(args) as fh:
-        if getattr(args, "format", "csv") == "json":
-            doc = [{k: _jsonable(r.get(k)) for k in columns} for r in rows]
-            fh.write(json.dumps(doc, indent=2))
-            fh.write("\n")
-        else:
-            fh.write(",".join(columns) + "\n")
-            for r in rows:
-                fh.write(",".join(_fmt(r.get(k)) for k in columns) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for r in rows:
+            fh.write(",".join(_fmt(r.get(k)) for k in columns) + "\n")
     return 0
 
 
@@ -256,43 +267,26 @@ def cmd_pulse(args) -> int:
     t = pulse_mod.time_grid(ps, expected_peaks=peaks)
     trace_in = pulse_mod.input_envelope(ps, t)
 
-    outputs = [(label,
-                pulse_mod.propagate_analytic(ps, n_0, g_vd, L, t=t))
-               for label, n_0, g_vd in series]
-
+    outputs = [pulse_mod.propagate_analytic(ps, n_0, g_vd, L, t=t)
+               for _, n_0, g_vd in series]
     nu = np.sort(pulse_mod.frequency_grid(ps, t))
-    spec_in = pulse_mod.input_spectrum(ps, nu)
-    spec_out = [(label, pulse_mod.output_spectrum(ps, n_0, g_vd, L, nu=nu))
-                for label, n_0, g_vd in series]
+    spectra = [pulse_mod.input_spectrum(ps, nu)] + [
+        pulse_mod.output_spectrum(ps, n_0, g_vd, L, nu=nu) for _, n_0, g_vd in series]
 
-    labels = [label for label, _, _ in series]
-    columns = ["section", "x", "input"] + labels
+    keys = ["input"] + [label for label, _, _ in series]
     step = 1 if args.full else max(1, ps.n_samples // 2048)
-
-    def intensity(trace):
-        return np.abs(pulse_mod.normalized(trace.samples)) ** 2
-
     rows = []
-    in_t = intensity(trace_in)
-    out_t = {label: intensity(tr) for label, tr in outputs}
-    for i in range(0, t.size, step):
-        row = {"section": "time", "x": t[i] / ps.tau_0, "input": in_t[i]}
-        for label in labels:
-            row[label] = out_t[label][i]
-        rows.append(row)
-    in_f = intensity(spec_in)
-    out_f = {label: intensity(tr) for label, tr in spec_out}
-    for i in range(0, nu.size, step):
-        row = {"section": "frequency", "x": nu[i] / ps.delta_w,
-               "input": in_f[i]}
-        for label in labels:
-            row[label] = out_f[label][i]
-        rows.append(row)
+    for section, x, traces in (("time", t / ps.tau_0, [trace_in] + outputs),
+                               ("frequency", nu / ps.delta_w, spectra)):
+        cols = [np.abs(pulse_mod.normalized(tr.samples)) ** 2 for tr in traces]
+        for i in range(0, x.size, step):
+            rows.append({"section": section, "x": x[i],
+                         **{k: c[i] for k, c in zip(keys, cols)}})
 
     metric_rows = {name: {"section": "metric", "x": name, "input": None}
                    for name in ("peak_shift_ns", "width_ratio", "distortion",
                                 "n_0", "g_vd_si")}
-    for (label, trace), (_, n_0, g_vd) in zip(outputs, series):
+    for (label, n_0, g_vd), trace in zip(series, outputs):
         m = pulse_mod.pulse_metrics(trace_in, trace)
         metric_rows["peak_shift_ns"][label] = m["peak_shift"] * 1e9
         metric_rows["width_ratio"][label] = m["width_ratio"]
@@ -300,17 +294,16 @@ def cmd_pulse(args) -> int:
         metric_rows["n_0"][label] = n_0
         metric_rows["g_vd_si"][label] = g_vd
     rows.extend(metric_rows.values())
-    return _emit(args, columns, rows)
+    return _emit(args, ["section", "x"] + keys, rows)
 
 
 # ---------------------------------------------------------------- calibrate
 
 def cmd_calibrate(args) -> int:
     cfg, scenario = _resolve(args)
-    mode = args.mode or "cold"
-    if mode not in ("cold", "hot"):
-        raise ConfigurationError(
-            f"bad --mode {mode!r}: calibrate needs 'cold' or 'hot'")
+    for flag, value in (("--target", args.target), ("--delta-p", args.delta_p)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"bad {flag} {value!r}: must be finite")
     if args.delta_p is not None:
         delta_p = args.delta_p
     elif args.quantity == "n_0":
@@ -322,7 +315,7 @@ def cmd_calibrate(args) -> int:
 
     def gap(kappa):
         c = with_overrides(cfg, medium={"density_coupling": float(kappa)})
-        return optics.group_index_at(c, delta_p, mode=mode).N_g - args.target
+        return optics.group_index_at(c, delta_p, mode=args.mode).N_g - args.target
 
     # the betas do not depend on kappa_e: solve each stencil input once
     with coherences.reuse_betas():
@@ -336,24 +329,20 @@ def cmd_calibrate(args) -> int:
                              rtol=4 * np.finfo(float).eps))
         achieved = gap(kappa) + args.target
     calibrated = with_overrides(cfg, medium={"density_coupling": kappa})
-    doc = {
+    return _write_json(args, {
         "calibration": {
-            "kappa_e": _jsonable(kappa),
+            "kappa_e": kappa,
             "quantity": args.quantity,
             "target_n_g": args.target,
-            "achieved_n_g": _jsonable(achieved),
-            "relative_error": _jsonable(
-                abs(achieved - args.target) / max(abs(args.target), 1e-300)),
-            "mode": mode,
-            "delta_p": _jsonable(delta_p),
+            "achieved_n_g": achieved,
+            "relative_error":
+                abs(achieved - args.target) / max(abs(args.target), 1e-300),
+            "mode": args.mode,
+            "delta_p": delta_p,
             "preset": scenario.name if scenario is not None else None,
         },
         "config": to_dict(calibrated),
-    }
-    with _out_stream(args) as fh:
-        fh.write(json.dumps(doc, indent=2))
-        fh.write("\n")
-    return 0
+    })
 
 
 # -------------------------------------------------------------- preset-dump
@@ -370,10 +359,7 @@ def cmd_preset_dump(args) -> int:
         rec = presets.dump(name)
         records[rec["name"]] = rec
     payload = records[next(iter(records))] if len(records) == 1 else records
-    with _out_stream(args) as fh:
-        fh.write(json.dumps(payload, indent=2))
-        fh.write("\n")
-    return 0
+    return _write_json(args, payload)
 
 
 # ------------------------------------------------------------------ parser
@@ -498,10 +484,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         for v in exc.violations:
             print(f"  - {type(v).__name__}: {v}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"configuration error: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",

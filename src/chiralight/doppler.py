@@ -6,11 +6,12 @@ distribution is
     <f> = (1/(V_D sqrt(pi))) * integral f(kv) exp(-(kv)^2/V_D^2) d(kv)
 
 After u = kv/V_D this weight is exactly the Gauss-Hermite weight, so
-Gauss-Hermite quadrature (with automatic node doubling until two
-consecutive refinements agree) is the default method.  An adaptive
-trapezoid rule on a truncated window is kept as an independent
-verification path -- the two must agree to 1e-8 on the acceptance
-parameter sets, and the test suite checks that they do.
+:func:`doppler_average` uses Gauss-Hermite quadrature with automatic
+node doubling until two consecutive refinements agree.  An adaptive
+trapezoid rule on a truncated window, :func:`trapezoid_average`, is
+its fallback when an integrand cannot be evaluated at a node and an
+independent check on it -- the two must agree to 1e-8 on the
+acceptance parameter sets, and the test suite checks that they do.
 
 Reductions use numpy's pairwise summation on nodes in a fixed order,
 so results are deterministic for a given QuadratureSpec.
@@ -18,7 +19,7 @@ so results are deterministic for a given QuadratureSpec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -41,13 +42,12 @@ class QuadratureSpec:
     """Velocity-average discretization parameters.
 
     node_count is the starting Gauss-Hermite node count (or starting
-    panel count for the adaptive method); refinement doubles it until
+    panel count for the trapezoid rule); refinement doubles it until
     two consecutive levels agree to rel_tol or max_nodes is exceeded.
-    truncation is the half-window of the adaptive method in units of
+    truncation is the half-window of the trapezoid rule in units of
     V_D.
     """
 
-    method: str = "gauss-hermite"
     node_count: int = 64
     truncation: float = 4.0
     rel_tol: float = 1.0e-8
@@ -76,6 +76,11 @@ def _as_stack(values):
     return np.asarray(values, dtype=complex)[None, ...], False
 
 
+def _unstack(out, was_tuple):
+    """Inverse of _as_stack for the averaged values."""
+    return tuple(out) if was_tuple else out[0]
+
+
 def _rel_change(new, old, floor=None):
     """Max over components of point-wise change relative to component scale.
 
@@ -102,7 +107,7 @@ def _gauss_hermite_average(f, v_d, spec):
         cur = (vals * w).sum(axis=-1) / np.sqrt(np.pi)
         floor = [(np.abs(c) * w).sum(axis=-1).max() / np.sqrt(np.pi) for c in vals]
         if prev is not None and _rel_change(cur, prev, floor) < spec.rel_tol:
-            return cur, was_tuple
+            return _unstack(cur, was_tuple)
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
@@ -139,7 +144,7 @@ def _trapezoid_average(f, v_d, spec, shift=0.0):
         norm = v_d * np.sqrt(np.pi)
         floor = [c.max() / norm for c in A]
         if _rel_change(S_new / norm, S / norm, floor) < spec.rel_tol:
-            return S_new / norm, was_tuple
+            return _unstack(S_new / norm, was_tuple)
         S = S_new
     raise QuadratureNotConverged(
         f"adaptive trapezoid not converged to {spec.rel_tol:g} "
@@ -154,30 +159,26 @@ def doppler_average(f, v_d: float, spec: QuadratureSpec = QuadratureSpec()):
     one pass.  For v_d below the cold threshold the kv = 0 value is
     returned exactly.
 
-    If f raises SingularSystem at a Gauss-Hermite node the method
-    falls back to the adaptive rule; if the adaptive rule hits the
-    pole as well (after re-staggering its nodes once) the pole is
-    real-axis exact and PoleInSupport is raised.
+    If f raises SingularSystem at a Gauss-Hermite node the average
+    falls back to :func:`trapezoid_average`.
     """
     if v_d < COLD_WIDTH:
         vals, was_tuple = _as_stack(f(np.zeros(1)))
-        out = vals[..., 0]
-        return tuple(out) if was_tuple else out[0]
-
-    if spec.method == "gauss-hermite":
-        try:
-            out, was_tuple = _gauss_hermite_average(f, v_d, spec)
-        except SingularSystem:
-            out, was_tuple = _trapezoid_fallback(f, v_d, spec)
-    elif spec.method == "adaptive-trapezoid":
-        out, was_tuple = _trapezoid_fallback(f, v_d, spec)
-    else:
-        raise ValueError(f"unknown quadrature method {spec.method!r}")
-    return tuple(out) if was_tuple else out[0]
+        return _unstack(vals[..., 0], was_tuple)
+    try:
+        return _gauss_hermite_average(f, v_d, spec)
+    except SingularSystem:
+        return trapezoid_average(f, v_d, spec)
 
 
-def _trapezoid_fallback(f, v_d, spec):
-    spec = replace(spec, method="adaptive-trapezoid")
+def trapezoid_average(f, v_d: float, spec: QuadratureSpec):
+    """Adaptive-trapezoid average of f over [-truncation*v_d, +truncation*v_d].
+
+    Same integrand convention as :func:`doppler_average`.  If f raises
+    SingularSystem the nodes are re-staggered once; a pole that the
+    shifted nodes hit as well sits on the real axis and PoleInSupport
+    is raised.
+    """
     try:
         return _trapezoid_average(f, v_d, spec)
     except SingularSystem:
@@ -192,20 +193,18 @@ def _trapezoid_fallback(f, v_d, spec):
             f"integration window: {exc}") from exc
 
 
-def hot_response(cfg: ValidatedConfig, delta_p,
-                 quad: QuadratureSpec | None = None) -> response_mod.OpticalResponse:
+def hot_response(cfg: ValidatedConfig, delta_p) -> response_mod.OpticalResponse:
     """Doppler-averaged response at probe detuning(s) delta_p.
 
     Each component is averaged with the full shifted-detuning rule
     (all alpha_i signs) applied at every quadrature node.  Grids are
     processed in chunks to bound the size of the batched 3x3 solves.
     """
-    quad = quad or QuadratureSpec()
     delta_p = np.asarray(delta_p, dtype=float)
     scalar_in = delta_p.ndim == 0
     grid = np.atleast_1d(delta_p)
 
-    chunk = max(1, _CHUNK_BUDGET // max(quad.max_nodes, 1))
+    chunk = _CHUNK_BUDGET // QuadratureSpec().max_nodes
     parts = []
     for start in range(0, grid.size, chunk):
         sub = grid[start:start + chunk]
@@ -214,7 +213,7 @@ def hot_response(cfg: ValidatedConfig, delta_p,
             r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None])
             return r.components()
 
-        parts.append(doppler_average(f, cfg.medium.v_doppler, quad))
+        parts.append(doppler_average(f, cfg.medium.v_doppler))
     comps = [np.concatenate([p[i] for p in parts]) for i in range(4)]
     out = response_mod.OpticalResponse(*comps)
 

@@ -83,8 +83,12 @@ def _tracked_sqrt(w, seed_idx):
     return sign * r
 
 
-def refractive_index(resp: response_mod.OpticalResponse):
-    """Complex chiral refractive index; branch-tracked for array input."""
+def refractive_index(resp: response_mod.OpticalResponse, delta_p):
+    """Complex chiral refractive index; branch-tracked for array input.
+
+    delta_p holds the detunings the response was evaluated at; a
+    branch jump is reported between the two it falls between.
+    """
     chi_e = np.asarray(resp.chi_e)
     chi_m = np.asarray(resp.chi_m)
     xi_eh = np.asarray(resp.xi_eh)
@@ -98,9 +102,11 @@ def refractive_index(resp: response_mod.OpticalResponse):
         jumps = np.abs(np.diff(root))
         if jumps.size and float(jumps.max()) > BRANCH_JUMP_LIMIT:
             i = int(np.argmax(jumps))
+            d = np.asarray(delta_p)
             raise BranchJump(
                 f"refractive-index branch discontinuity {jumps.max():.3g} "
-                f"(> {BRANCH_JUMP_LIMIT}) between grid points {i} and {i + 1}")
+                f"(> {BRANCH_JUMP_LIMIT}) between Delta_p = {d[i]:.12g} "
+                f"and {d[i + 1]:.12g}")
     return root + 0.5j * (xi_eh - xi_he)
 
 
@@ -139,7 +145,7 @@ def grid_derivative(y, h):
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def _index_on_stencils(cfg, grid, mode, h, quad):
+def _index_on_stencils(cfg, grid, mode, h):
     """Evaluate the complex index on grid +- {0,h,2h} in one tracked pass.
 
     Returns the (N, 5) stencil of indices, the grid, and the response
@@ -148,8 +154,8 @@ def _index_on_stencils(cfg, grid, mode, h, quad):
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     pts = (grid[:, None] + h * _STENCIL[None, :]).ravel()
     xs, inverse = np.unique(pts, return_inverse=True)
-    resp = response_mod.spectrum(cfg, xs, mode=mode, quad=quad)
-    n_xs = refractive_index(resp)
+    resp = response_mod.spectrum(cfg, xs, mode=mode)
+    n_xs = refractive_index(resp, xs)
     stencil_idx = inverse.reshape(grid.size, 5)
     center = stencil_idx[:, 2]
     resp_center = response_mod.OpticalResponse(
@@ -158,8 +164,7 @@ def _index_on_stencils(cfg, grid, mode, h, quad):
 
 
 def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
-                      h: float = DEFAULT_STEP, quad=None,
-                      return_response: bool = False):
+                      h: float = DEFAULT_STEP, return_response: bool = False):
     """Dispersion quantities on a detuning grid (array-valued point).
 
     The derivative at each grid point comes from a dedicated local
@@ -169,7 +174,7 @@ def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
     return_response=True also returns the OpticalResponse at the grid
     centers.
     """
-    n5, grid, resp_center = _index_on_stencils(cfg, grid, mode, h, quad)
+    n5, grid, resp_center = _index_on_stencils(cfg, grid, mode, h)
     deriv, est = _richardson(n5[:, 0], n5[:, 1], n5[:, 3], n5[:, 4], h)
     floor = 1e-6 * max(float(np.max(np.abs(deriv))), 1e-300)
     bad = est > DERIVATIVE_RTOL * np.maximum(np.abs(deriv), floor)
@@ -191,10 +196,10 @@ def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
     return curve
 
 
-def group_index_at(cfg: ValidatedConfig, delta_p: float, mode: str = "cold",
-                   h: float = DEFAULT_STEP, quad=None) -> DispersionPoint:
+def group_index_at(cfg: ValidatedConfig, delta_p: float,
+                   mode: str = "cold") -> DispersionPoint:
     """Dispersion quantities at a single detuning (scalar fields)."""
-    curve = group_index_curve(cfg, [delta_p], mode=mode, h=h, quad=quad)
+    curve = group_index_curve(cfg, [delta_p], mode=mode)
     return DispersionPoint(*(np.asarray(getattr(curve, f.name))[0].item()
                              for f in curve.__dataclass_fields__.values()))
 
@@ -212,7 +217,7 @@ def group_index(grid, n_complex, omega_14):
     return np.real(np.asarray(n_complex) + (omega_14 - grid) * deriv)
 
 
-def delay_table(scenarios, h: float = DEFAULT_STEP, quad=None) -> list:
+def delay_table(scenarios) -> list:
     """Evaluate named scenarios into (N_g, v_g, tau) rows.
 
     scenarios is an iterable of (name, cfg, mode) with the probe
@@ -224,7 +229,7 @@ def delay_table(scenarios, h: float = DEFAULT_STEP, quad=None) -> list:
         row = {"scenario": name, "mode": mode, "n_g": None, "v_g": None,
                "tau_ns": None, "error": None}
         try:
-            pt = group_index_at(cfg, cfg.system.delta_p, mode=mode, h=h, quad=quad)
+            pt = group_index_at(cfg, cfg.system.delta_p, mode=mode)
             row.update(n_g=pt.N_g, v_g=pt.v_g, tau_ns=pt.tau * 1e9)
         except NumericalError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -234,7 +239,6 @@ def delay_table(scenarios, h: float = DEFAULT_STEP, quad=None) -> list:
 
 def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
                            omega3_hi: float, xtol: float = 1.0e-3,
-                           h: float = DEFAULT_STEP, quad=None,
                            ng_pair=None) -> float:
     """Control-field strength where cold and hot group indices cross.
 
@@ -249,8 +253,8 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
     if ng_pair is None:
         def ng_pair(o3):
             c = with_overrides(cfg, system={"omega_3": float(o3)})
-            cold = group_index_at(c, c.system.delta_p, mode="cold", h=h).N_g
-            hot = group_index_at(c, c.system.delta_p, mode="hot", h=h, quad=quad).N_g
+            cold = group_index_at(c, c.system.delta_p, mode="cold").N_g
+            hot = group_index_at(c, c.system.delta_p, mode="hot").N_g
             return cold, hot
 
     def gap(o3):

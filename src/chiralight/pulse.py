@@ -166,16 +166,15 @@ def input_spectrum(ps: PulseSpec, nu=None) -> PulseTrace:
     return PulseTrace(domain="frequency", grid=nu, samples=samples)
 
 
-def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold",
-                            h: float = optics.DEFAULT_STEP, quad=None) -> dict:
+def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold") -> dict:
     """First-order dispersion data of the medium at band center.
 
     n_0 is the group index at zero probe detuning; g_vd (SI s^2/m) is
     (1/c) dN_g/domega there, with the detuning-to-frequency mapping
     omega = omega_0 + Delta_p*gamma_unit.
     """
-    stencil = h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    curve = optics.group_index_curve(cfg, stencil, mode=mode, h=h, quad=quad)
+    h = optics.DEFAULT_STEP
+    curve = optics.group_index_curve(cfg, h * optics._STENCIL, mode=mode)
     ng = curve.N_g
     dng, _ = optics._richardson(ng[0], ng[1], ng[3], ng[4], h)
     g_vd = dng / (C_LIGHT * cfg.medium.gamma_unit)
@@ -189,8 +188,7 @@ def quadratic_wavenumber(n_0: float, g_vd: float):
     return k_rel
 
 
-def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec,
-                      mode: str = "cold", quad=None):
+def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec, mode: str = "cold"):
     """k(nu) - k(0) sampled from the full complex chiral index (1/m)."""
     from . import response as response_mod
 
@@ -200,9 +198,9 @@ def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec,
         nu = np.asarray(nu, dtype=float)
         flat = np.concatenate([nu.ravel(), [0.0]])
         xs, inverse = np.unique(flat, return_inverse=True)
-        resp = response_mod.spectrum(cfg, xs / cfg.medium.gamma_unit,
-                                     mode=mode, quad=quad)
-        n = optics.refractive_index(resp)
+        delta_p = xs / cfg.medium.gamma_unit
+        resp = response_mod.spectrum(cfg, delta_p, mode=mode)
+        n = optics.refractive_index(resp, delta_p)
         k_xs = (ps.omega_0 + xs) * n / C_LIGHT
         k_all = k_xs[inverse]
         return (k_all[:-1] - k_all[-1]).reshape(nu.shape)

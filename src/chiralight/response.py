@@ -72,8 +72,7 @@ def response_at(cfg: ValidatedConfig, kv, delta_p=None) -> OpticalResponse:
     return response_from_betas(betas, k["kappa_e"], cfg.medium.dipole_ratio)
 
 
-def spectrum(cfg: ValidatedConfig, grid, mode: str = "cold",
-             quad=None) -> OpticalResponse:
+def spectrum(cfg: ValidatedConfig, grid, mode: str = "cold") -> OpticalResponse:
     """Response on a detuning grid; fields are arrays ordered like the grid.
 
     mode "cold" evaluates at kv = 0; mode "hot" Doppler-averages at the
@@ -84,5 +83,5 @@ def spectrum(cfg: ValidatedConfig, grid, mode: str = "cold",
         return response_at(cfg, 0.0, delta_p=grid)
     if mode == "hot":
         from . import doppler  # deferred: doppler builds on this module
-        return doppler.hot_response(cfg, grid, quad=quad)
+        return doppler.hot_response(cfg, grid)
     raise ValueError(f"mode must be 'cold' or 'hot', got {mode!r}")

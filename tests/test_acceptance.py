@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from chiralight import coherences, optics, presets, pulse, response
+from chiralight import coherences, doppler, optics, presets, pulse, response
 from chiralight.doppler import QuadratureSpec
 from chiralight.params import (C_LIGHT, MediumParams, SystemParams, validate,
                                with_overrides)
@@ -119,13 +119,19 @@ def test_criterion_02_doppler_limit_and_dual_quadrature(record, subluminal_cfg):
     near = with_overrides(subluminal_cfg, medium={"v_doppler": 2e-6})
     rel_near = _components_rel(response.spectrum(near, grid, mode="hot"), cold)
 
-    sub = grid[::10]
-    gauss = QuadratureSpec(rel_tol=1e-10)
-    adaptive = QuadratureSpec(method="adaptive-trapezoid", truncation=6.0,
-                              rel_tol=1e-10, max_nodes=1 << 17)
+    # ... and Gauss-Hermite against the independent trapezoid rule
+    v_d = subluminal_cfg.medium.v_doppler
+    gauss, trapezoid = [], []
+    for part in np.array_split(grid[::10], 4):  # bounds the (point, node) batch
+        def f(kv, part=part):
+            return response.response_at(subluminal_cfg, kv[None, :],
+                                        delta_p=part[:, None]).components()
+        gauss.append(doppler.doppler_average(f, v_d, QuadratureSpec(rel_tol=1e-10)))
+        trapezoid.append(doppler.trapezoid_average(
+            f, v_d, QuadratureSpec(truncation=6.0, rel_tol=1e-10, max_nodes=1 << 17)))
     rel_quad = _components_rel(
-        response.spectrum(subluminal_cfg, sub, mode="hot", quad=gauss),
-        response.spectrum(subluminal_cfg, sub, mode="hot", quad=adaptive))
+        response.OpticalResponse(*np.concatenate(gauss, axis=1)),
+        response.OpticalResponse(*np.concatenate(trapezoid, axis=1)))
 
     ok = rel_tiny < 1e-6 and rel_near < 1e-6 and rel_quad < 1e-8
     assert record(2, ok, f"cold limit {rel_tiny:.1e}/{rel_near:.1e}, "

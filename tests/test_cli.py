@@ -5,14 +5,18 @@ back and cross-checked against the library, and the exit-code contract
 (0 ok / 2 configuration / 3 numerical) is exercised for each family.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralight import optics, presets
-from chiralight.cli import main, parse_grid
+from chiralight.cli import _fmt, _jsonable, main, parse_grid
 from chiralight.errors import ConfigurationError
 from chiralight.params import C_LIGHT
 
@@ -395,3 +399,105 @@ def test_crossover_with_zero_thermal_width_names_identical_indices(tmp_path, cap
     assert "NoCrossoverInRange" in err
     assert "hot and cold group indices are identical" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("calibrate", "--preset", "fig8ab", "--target", "nan"), "--target"),
+    (("calibrate", "--preset", "fig8ab", "--target", "inf"), "--target"),
+    (("calibrate", "--preset", "fig8ab", "--target", "1415.65",
+      "--delta-p", "nan"), "--delta-p"),
+    (("spectrum", "--preset", "fig2a", "--grid", "0:nan:5"), "--grid"),
+    (("spectrum", "--preset", "fig2a", "--grid", "0:inf:5"), "--grid"),
+    (("spectrum", "--preset", "fig2a", "--grid", "-inf:0:5"), "--grid"),
+])
+def test_non_finite_argument_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert f"bad {flag}" in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--preset", "fig2a", "--grid", "-1:1:5"),
+    ("preset-dump", "fig2a"),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert "cannot write --out" in err
+
+
+def test_negative_zero_prints_as_zero(tmp_path, capsys):
+    assert _fmt(-0.0) == _fmt(np.float64(-0.0)) == "0"
+    assert json.dumps(_jsonable({"a": [-0.0, np.float64(-0.0)]})) == '{"a": [0.0, 0.0]}'
+    # with omega_1 = omega_3 = 0 some response components are exact zeros
+    # whose sign follows the arithmetic route
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"system": {"omega_1": 0, "omega_3": 0}}))
+    argv = ("spectrum", "--preset", "fig2a", "--grid", "-1:1:3", "--config", str(cfg))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert "0" in {v for r in rows for v in r.values()}
+    assert "-0" not in {v for r in rows for v in r.values()}
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert "-0.0," not in out and "-0.0\n" not in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+
+EDGE = ("nan", "inf", "-inf", "0", "-1", "")
+AN_EXISTING_DIRECTORY = str(pathlib.Path(__file__).parent)
+
+
+def _run_isolated(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def cold_argv(draw):
+    """argv of a cold (fast) subcommand with edge values in its flags."""
+    edge = st.sampled_from(EDGE)
+    maybe = st.booleans()
+    command = draw(st.sampled_from(("spectrum", "delay", "pulse", "calibrate")))
+    argv = [command, "--preset", "fig2a"]
+    if command == "spectrum":
+        count = draw(st.sampled_from(("3", "0", "-1", "", "nan")))
+        argv += ["--mode", "cold", "--grid",
+                 f"{draw(st.sampled_from(EDGE + ('-1.5',)))}:"
+                 f"{draw(st.sampled_from(EDGE + ('1.5',)))}:{count}"]
+        if draw(maybe):
+            argv += ["--vd", ",".join(draw(st.lists(edge, max_size=2)))]
+    elif command == "delay":
+        argv += ["--mode", "cold",
+                 "--omega3", ",".join(draw(st.lists(edge, max_size=3)))]
+    elif command == "pulse":
+        argv += ["--mode", "cold", "--tau0", draw(st.sampled_from(EDGE + ("5.5",))),
+                 "--delta", draw(st.sampled_from(EDGE + ("2e9",)))]
+    else:
+        argv += ["--target", draw(st.sampled_from(EDGE + ("1607.5",)))]
+        if draw(maybe):
+            argv += ["--delta-p", draw(edge)]
+        if draw(maybe):
+            argv += ["--bracket", f"{draw(edge)}:{draw(st.sampled_from(EDGE + ('10',)))}"]
+    if command != "calibrate" and draw(maybe):
+        argv += ["--format", "json"]
+    if draw(maybe):
+        argv += ["--out", AN_EXISTING_DIRECTORY]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cold_argv())
+def test_fuzzed_cli_keeps_exit_code_contract(argv):
+    code, out, err = _run_isolated(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    assert _run_isolated(argv) == (code, out, err)

@@ -12,7 +12,7 @@ import pytest
 from chiralight import optics, presets
 from chiralight import response as response_mod
 from chiralight.errors import BranchJump, GridTooCoarse, NoCrossoverInRange
-from chiralight.params import C_LIGHT
+from chiralight.params import C_LIGHT, with_overrides
 from chiralight.response import OpticalResponse
 
 
@@ -26,9 +26,9 @@ def _flat(chi_e=0.0, chi_m=0.0, xi_eh=0.0, xi_he=0.0):
 
 
 def test_zero_response_index_is_unity():
-    assert optics.refractive_index(_flat()) == 1.0 + 0.0j
+    assert optics.refractive_index(_flat(), 0.0) == 1.0 + 0.0j
     z = np.zeros(7, dtype=complex)
-    n = optics.refractive_index(OpticalResponse(z, z, z, z))
+    n = optics.refractive_index(OpticalResponse(z, z, z, z), np.arange(7.0))
     assert np.array_equal(n, np.ones(7, dtype=complex))
 
 
@@ -36,14 +36,14 @@ def test_symmetric_cross_coupling_has_no_imaginary_offset():
     # When xi_EH == xi_HE the difference term vanishes and the index is
     # a plain square root of the material factor.
     chi_e, chi_m, xi = 0.2 + 0.05j, 1.0e-4 + 1.0e-5j, 0.01 + 0.002j
-    n = optics.refractive_index(_flat(chi_e, chi_m, xi, xi))
+    n = optics.refractive_index(_flat(chi_e, chi_m, xi, xi), 0.0)
     expected = np.sqrt((1 + chi_e) * (1 + chi_m) - xi**2)
     assert n == pytest.approx(expected, rel=1e-14)
 
 
 def test_antisymmetric_cross_coupling_adds_imaginary_part():
     xi_eh, xi_he = 0.02, -0.01
-    n = optics.refractive_index(_flat(0.0, 0.0, xi_eh, xi_he))
+    n = optics.refractive_index(_flat(0.0, 0.0, xi_eh, xi_he), 0.0)
     root = np.sqrt(1.0 - 0.25 * (xi_eh + xi_he) ** 2)
     assert n == pytest.approx(root + 0.5j * (xi_eh - xi_he), rel=1e-14)
 
@@ -54,7 +54,8 @@ def test_branch_tracking_through_sign_change():
     # instead of snapping back to the principal branch.
     chi_e = np.linspace(0.0, -2.0, 100).astype(complex)
     zero = np.zeros_like(chi_e)
-    n = optics.refractive_index(OpticalResponse(chi_e, zero, zero, zero))
+    n = optics.refractive_index(OpticalResponse(chi_e, zero, zero, zero),
+                                np.arange(100.0))
     assert n[0] == 1.0 + 0.0j
     assert n[-1] == pytest.approx(1.0j, abs=1e-12)
     assert np.abs(np.diff(n)).max() < optics.BRANCH_JUMP_LIMIT
@@ -63,8 +64,9 @@ def test_branch_tracking_through_sign_change():
 def test_branch_jump_detected_on_coarse_path():
     chi_e = np.array([0.0, -3.0], dtype=complex)
     zero = np.zeros_like(chi_e)
-    with pytest.raises(BranchJump, match="grid points 0 and 1"):
-        optics.refractive_index(OpticalResponse(chi_e, zero, zero, zero))
+    with pytest.raises(BranchJump, match="between Delta_p = -0.5 and 2.25$"):
+        optics.refractive_index(OpticalResponse(chi_e, zero, zero, zero),
+                                np.array([-0.5, 2.25]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +151,30 @@ def test_group_index_at_matches_curve():
 def test_branch_stays_continuous_across_preset_spectrum():
     cfg = presets.get("fig2a").config()
     grid = np.linspace(-10.0, 10.0, 1001)
-    n = optics.refractive_index(response_mod.spectrum(cfg, grid, mode="cold"))
+    n = optics.refractive_index(response_mod.spectrum(cfg, grid, mode="cold"), grid)
     assert np.abs(np.diff(n)).max() < 0.1
+
+
+def _branch_jump_cfg():
+    """fig2a with every decay rate and control field at 1e-3: the index
+    jumps branch right beside delta_p = 0."""
+    rates = ("gamma_1", "gamma_2", "gamma_3", "gamma_4",
+             "omega_1", "omega_2", "omega_3")
+    return with_overrides(presets.get("fig2a").config(),
+                          system={k: 1e-3 for k in rates})
+
+
+def test_branch_jump_names_the_detunings():
+    # the stencil around the single requested point is what jumps; the
+    # message gives its detunings, not positions in an internal array
+    with pytest.raises(BranchJump, match="between Delta_p = 0 and 0.001$"):
+        optics.group_index_at(_branch_jump_cfg(), 0.0)
 
 
 def test_coarse_stencil_raises():
     cfg = presets.get("fig2a").config()
     with pytest.raises(GridTooCoarse, match="1%"):
-        optics.group_index_at(cfg, 0.0, mode="cold", h=5.0)
+        optics.group_index_curve(cfg, [0.0], h=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +192,9 @@ def test_delay_table_values_and_annotations():
         assert row["n_g"] == pytest.approx(pt.N_g, rel=1e-12)
         assert row["tau_ns"] == pytest.approx(pt.tau * 1e9, rel=1e-12)
 
-    bad = optics.delay_table([("coarse", cfg_a, "cold")], h=5.0)
+    bad = optics.delay_table([("jump", _branch_jump_cfg(), "cold")])
     assert bad[0]["n_g"] is None
-    assert "GridTooCoarse" in bad[0]["error"]
+    assert bad[0]["error"].startswith("BranchJump: ")
 
 
 def test_planted_crossover_located():
