@@ -97,10 +97,13 @@ def parse_pair(text: str, flag: str):
 
 def parse_float_list(text: str, flag: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigurationError(
             f"bad {flag} {text!r}: expected comma-separated numbers") from None
+    if not values:
+        raise ConfigurationError(f"bad {flag} {text!r}: empty list")
+    return values
 
 
 def _resolve(args):

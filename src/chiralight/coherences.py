@@ -14,6 +14,12 @@ purpose:
 The two must agree to 1e-10 relative wherever the system matrix is
 well conditioned; the test suite enforces this equivalence.
 
+The conditioning guard lives in :func:`steady_betas`: before M is
+built, it takes the Frobenius condition number of M from the three
+diagonal terms and the scalar control couplings and raises
+SingularSystem where that number is not finite or exceeds COND_LIMIT.
+:func:`solve_steady_state` is the bare batched solve.
+
 All functions broadcast over numpy arrays of detunings / velocity
 shifts, so a full (detuning grid) x (quadrature node) tensor can be
 solved in one batched call.
@@ -121,7 +127,14 @@ def denominator_terms(s: SystemParams, sd: ShiftedDetunings) -> DenominatorTerms
     return DenominatorTerms(a1=a1, a2=a2, a3=a3)
 
 
-def build_system_matrix(p: ValidatedConfig, sd: ShiftedDetunings):
+def _couplings(s: SystemParams):
+    """The off-diagonal entries (M01, M02, M10, M12, M20, M21) of M."""
+    return (0.5j * s.omega_3 * np.exp(1j * s.phi), 0.5j * s.omega_2,
+            0.5j * s.omega_3 * np.exp(-1j * s.phi), 0.5j * s.omega_1,
+            0.5j * s.omega_2, -0.5j * s.omega_1)
+
+
+def build_system_matrix(s: SystemParams, dt: DenominatorTerms):
     """Coefficient matrix M of the steady state, shape (..., 3, 3).
 
     Rows for the unknown vector (rho_14, rho_13, rho_12):
@@ -130,43 +143,65 @@ def build_system_matrix(p: ValidatedConfig, sd: ShiftedDetunings):
         row 1:  (i/2)*O3*e^{-i phi}*rho_14 + A3*rho_13 + (i/2)*O1*rho_12
         row 2:  (i/2)*O2*rho_14 - (i/2)*O1*rho_13 + A2*rho_12
 
-    The drives ((i/2)*omega_p, 0, 0) and (0, (i/2)*omega_b, 0) from the
-    unit ground-state population enter in :func:`solve_steady_state`.
+    Only the diagonal varies from point to point: M is one constant
+    template of the control couplings with the terms ``dt`` written
+    onto its diagonal.  The drives ((i/2)*omega_p, 0, 0) and
+    (0, (i/2)*omega_b, 0) from the unit ground-state population enter
+    in :func:`solve_steady_state`.
     """
-    s = p.system
-    dt = denominator_terms(s, sd)
+    b, c, d, f, g, h = _couplings(s)
+    template = np.array([[0, b, c], [d, 0, f], [g, h, 0]], dtype=complex)
     a1, a2, a3 = np.broadcast_arrays(dt.a1, dt.a2, dt.a3)
-    M = np.zeros(a1.shape + (3, 3), dtype=complex)
-    c3p = 0.5j * s.omega_3 * np.exp(1j * s.phi)
-    c3m = 0.5j * s.omega_3 * np.exp(-1j * s.phi)
+    M = np.empty(a1.shape + (3, 3), dtype=complex)
+    M[...] = template
     M[..., 0, 0] = a1
-    M[..., 0, 1] = c3p
-    M[..., 0, 2] = 0.5j * s.omega_2
-    M[..., 1, 0] = c3m
     M[..., 1, 1] = a3
-    M[..., 1, 2] = 0.5j * s.omega_1
-    M[..., 2, 0] = 0.5j * s.omega_2
-    M[..., 2, 1] = -0.5j * s.omega_1
     M[..., 2, 2] = a2
     return M
 
 
-def _cond_frobenius(M):
-    """Frobenius condition number ||M||_F * ||M^-1||_F via the adjugate."""
-    a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
-    d, e, f = M[..., 1, 0], M[..., 1, 1], M[..., 1, 2]
-    g, h, i = M[..., 2, 0], M[..., 2, 1], M[..., 2, 2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    cof = np.stack([
-        e * i - f * h, f * g - d * i, d * h - e * g,
-        c * h - b * i, a * i - c * g, b * g - a * h,
-        b * f - c * e, c * d - a * f, a * e - b * d,
-    ], axis=-1)
-    norm_m = np.sqrt((np.abs(M) ** 2).sum(axis=(-2, -1)))
-    norm_adj = np.sqrt((np.abs(cof) ** 2).sum(axis=-1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(det == 0, np.inf, norm_m * norm_adj / np.abs(det))
-    return cond
+def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
+    """Frobenius condition number ||M||_F * ||adj M||_F / |det M|.
+
+    Built from the diagonal terms and the scalar couplings, without
+    assembling M: ||M||_F^2 is |a1|^2 + |a2|^2 + |a3|^2 plus a constant,
+    each cofactor is a product of two diagonal terms, or a coupling
+    times one, plus a scalar, and det M is the row-0 expansion.  Equal
+    to the generic adjugate formula on the assembled matrix (the test
+    oracle) to rounding.
+    """
+    b, c, d, f, g, h = _couplings(s)
+    a1, a2, a3 = dt.a1, dt.a2, dt.a3
+    c00 = a3 * a2 - f * h
+    c01 = f * g - d * a2
+    c02 = d * h - a3 * g
+    det = a1 * c00 + b * c01 + c * c02
+    norm_adj = np.sqrt(
+        np.abs(c02) ** 2 + np.abs(b * f - c * a3) ** 2
+        + np.abs(c00) ** 2 + np.abs(c01) ** 2 + np.abs(c * h - b * a2) ** 2
+        + np.abs(a1 * a2 - c * g) ** 2 + np.abs(b * g - a1 * h) ** 2
+        + np.abs(c * d - a1 * f) ** 2 + np.abs(a1 * a3 - b * d) ** 2)
+    couplings = sum(abs(x) ** 2 for x in (b, c, d, f, g, h))
+    norm_m = np.sqrt(np.abs(a3) ** 2 + np.abs(a1) ** 2 + np.abs(a2) ** 2 + couplings)
+    return norm_m * norm_adj / np.abs(det)
+
+
+def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
+    """Raise SingularSystem unless M is well conditioned everywhere.
+
+    M is rejected where its Frobenius condition number is not finite
+    (det M = 0, or overflow at huge detunings) or exceeds COND_LIMIT.
+    """
+    with np.errstate(all="ignore"):  # overflow gives inf/nan, rejected below
+        cond = _frobenius_cond(s, dt)
+        if np.all(cond <= COND_LIMIT):
+            return
+    if not np.isfinite(cond).all():
+        raise SingularSystem("steady-state matrix condition number is not finite "
+                             "(singular matrix, or overflow at huge detunings)")
+    raise SingularSystem(
+        f"steady-state matrix condition number {float(np.max(cond)):.3e} exceeds "
+        f"{COND_LIMIT:.1e} (dark-state degeneracy?)")
 
 
 def solve_steady_state(M) -> CoherenceCoefficients:
@@ -174,17 +209,9 @@ def solve_steady_state(M) -> CoherenceCoefficients:
 
     Solves Y = -M^-1 X against both unit probe drives at once; the
     rho_14 and rho_13 rows of Y are the coefficients of omega_p
-    (first column) and omega_b (second column).  Raises SingularSystem
-    if the Frobenius condition number exceeds COND_LIMIT anywhere in
-    the batch.
+    (first column) and omega_b (second column).  No conditioning check
+    runs here: :func:`steady_betas` guards M before it is built.
     """
-    M = np.asarray(M, dtype=complex)
-    cond = _cond_frobenius(M)
-    if np.any(~np.isfinite(cond)) or np.any(cond > COND_LIMIT):
-        worst = float(np.max(cond))
-        raise SingularSystem(
-            f"steady-state matrix condition number {worst:.3e} exceeds "
-            f"{COND_LIMIT:.1e} (dark-state degeneracy?)")
     Y = -np.linalg.solve(M, _UNIT_DRIVES)
     return CoherenceCoefficients(
         beta_ee=Y[..., 0, 0],
@@ -197,11 +224,16 @@ def solve_steady_state(M) -> CoherenceCoefficients:
 def steady_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficients:
     """Authoritative beta coefficients at the given shifted detunings.
 
-    build_system_matrix followed by solve_steady_state; defined for
-    any probe amplitudes, zero included, since the betas never depend
-    on them.
+    Computes the diagonal terms once, rejects a singular or
+    ill-conditioned system (SingularSystem, Frobenius condition number
+    above COND_LIMIT) from them, then runs build_system_matrix and
+    solve_steady_state; defined for any probe amplitudes, zero
+    included, since the betas never depend on them.
     """
-    return solve_steady_state(build_system_matrix(p, sd))
+    s = p.system
+    dt = denominator_terms(s, sd)
+    _check_conditioning(s, dt)
+    return solve_steady_state(build_system_matrix(s, dt))
 
 
 def closed_form_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficients:

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,30 @@ def test_non_finite_argument_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     _assert_named_config_error(code, out, err, "ConfigurationError")
     assert f"bad {flag}" in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("delay", "--preset", "fig2a", "--omega3", ""), "--omega3"),
+    (("spectrum", "--preset", "fig6", "--vd", "", "--grid", "-1:1:3"), "--vd"),
+])
+def test_empty_list_argument_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert f"bad {flag}" in err and "empty list" in err
+
+
+def test_overflowing_detuning_grid_exits_3_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "spectrum", "--preset", "fig2a",
+                             "--grid", "0:1e300:3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: SingularSystem:")
+    assert "condition number is not finite" in err
+    assert len(err.splitlines()) == 1
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv", [

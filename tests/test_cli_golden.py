@@ -1,8 +1,10 @@
-"""Byte-identity guard on the fast README commands.
+"""Byte-identity guard on the fast README commands and one small hot run.
 
 Each command runs in-process through ``cli.main``; the test asserts
 exit 0 and the SHA-256 of everything it wrote to stdout.  A refactor
-that claims unchanged outputs must keep every digest.
+that claims unchanged outputs must keep every digest.  The hot
+``spectrum`` run pins the Gauss-Hermite thermal average outside the
+memo of ``coherences.reuse_betas``; the hot ``calibrate`` pins it inside.
 
 The digests pin the numbers this host's numpy/LAPACK build produces
 (the last printed digit can follow the BLAS kernel in use).  An
@@ -31,6 +33,8 @@ GOLDEN = {
         "a7da884950948c0dfbbdf839723496852ab64ec7e58fbf58fc64f8b503480f91",
     "calibrate --preset fig8ab --target 1618.15 --mode hot --quantity n_0":
         "0ccf7abf56731c3a9122a110f188701c585a2a6f2f1f15339595ac3870fc7b22",
+    "spectrum --preset fig4a --mode hot --grid -1:1:5":
+        "7f295caa3b3bdb15e71c0224340f257a09cd48dfe3cfa7af720eb8d528889db1",
     "preset-dump fig2":
         "78b52a251fa1cd520e0f99ebe98bbabfe599ce876d062e76462fea66bb9d387a",
 }

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralight import errors
-from chiralight.coherences import (CoherenceCoefficients, build_system_matrix,
+from chiralight.coherences import (COND_LIMIT, CoherenceCoefficients,
+                                   DenominatorTerms, _check_conditioning,
+                                   _frobenius_cond, build_system_matrix,
                                    closed_form_betas, denominator_terms,
-                                   shift_detunings, solve_steady_state,
-                                   steady_betas)
+                                   shift_detunings, steady_betas)
 from chiralight.params import MediumParams, SystemParams, validate
+from oracles import cond_frobenius
 
 
 def _cfg(**system):
@@ -105,9 +107,9 @@ def test_denominator_terms_structure():
 def test_system_matrix_matches_hand_expansion():
     cfg = _cfg(**POINT_A)
     sd = shift_detunings(cfg.system, KV_A)
-    M = build_system_matrix(cfg, sd)
     s = cfg.system
     dt = denominator_terms(s, sd)
+    M = build_system_matrix(s, dt)
     want = np.array([
         [dt.a1, 0.5j * s.omega_3 * np.exp(1j * s.phi), 0.5j * s.omega_2],
         [0.5j * s.omega_3 * np.exp(-1j * s.phi), dt.a3, 0.5j * s.omega_1],
@@ -178,9 +180,50 @@ def test_broadcast_grid_times_nodes():
 
 
 def test_singular_matrix_raises():
-    M = np.diag([1.0, 1.0, 1e-13]).astype(complex)
+    # M = diag(1, 1, 1e-13): controls off, A1 = A3 = 1, A2 = 1e-13
+    s = SystemParams(omega_1=0.0, omega_2=0.0, omega_3=0.0)
+    dt = DenominatorTerms(a1=np.array([1.0 + 0j]), a2=np.array([1e-13 + 0j]),
+                          a3=np.array([1.0 + 0j]))
+    assert np.array_equal(build_system_matrix(s, dt)[0],
+                          np.diag([1.0, 1.0, 1e-13]).astype(complex))
     with pytest.raises(errors.SingularSystem, match="condition number"):
-        solve_steady_state(M)
+        _check_conditioning(s, dt)
+
+
+_control = st.one_of(st.just(0.0), st.floats(0, 10))
+_decay = st.floats(1e-3, 10)
+_detuning = st.floats(-20, 20)
+_sign = st.sampled_from((1.0, -1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    o1=_control, o2=_control, o3=_control, phi=st.floats(0, 2 * math.pi),
+    g1=_decay, g2=_decay, g3=_decay, g4=_decay,
+    dp=_detuning, db=_detuning, d1=_detuning, d2=_detuning,
+    a1=_sign, a2=_sign, a3=_sign, kv=_detuning,
+)
+def test_structured_condition_number_matches_generic_oracle(
+        o1, o2, o3, phi, g1, g2, g3, g4, dp, db, d1, d2, a1, a2, a3, kv):
+    """The guard's condition number equals the adjugate formula on M."""
+    s = SystemParams(omega_1=o1, omega_2=o2, omega_3=o3, phi=phi,
+                     gamma_1=g1, gamma_2=g2, gamma_3=g3, gamma_4=g4,
+                     delta_p=dp, delta_b=db, delta_1=d1, delta_2=d2,
+                     alpha_1=a1, alpha_2=a2, alpha_3=a3)
+    # a (detuning x node) grid, on which A3 broadcasts from the node axis
+    sd = shift_detunings(s, np.array([[kv, 0.5 * kv, -kv, 0.0]]),
+                         delta_p=np.array([[dp], [-dp], [dp + 1.0]]))
+    dt = denominator_terms(s, sd)
+    got = _frobenius_cond(s, dt)
+    want = cond_frobenius(build_system_matrix(s, dt))
+    assert got.shape == want.shape == (3, 4)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    passes = bool(np.all(want <= COND_LIMIT))
+    if passes:
+        _check_conditioning(s, dt)
+    else:
+        with pytest.raises(errors.SingularSystem):
+            _check_conditioning(s, dt)
 
 
 @settings(max_examples=60, deadline=None)
