@@ -39,10 +39,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return "%.12g" % (float(value) + 0.0)  # + 0.0 prints -0.0 as 0
 
 
@@ -268,11 +264,10 @@ def cmd_pulse(args) -> int:
     for _, n_0, g_vd in series:
         peaks.append(L * n_0 / C_LIGHT + g_vd * L * ps.delta)
     t = pulse_mod.time_grid(ps, expected_peaks=peaks)
+    nu = np.sort(pulse_mod.frequency_grid(ps, t))  # band check before any trace
     trace_in = pulse_mod.input_envelope(ps, t)
-
     outputs = [pulse_mod.propagate_analytic(ps, n_0, g_vd, L, t=t)
                for _, n_0, g_vd in series]
-    nu = np.sort(pulse_mod.frequency_grid(ps, t))
     spectra = [pulse_mod.input_spectrum(ps, nu)] + [
         pulse_mod.output_spectrum(ps, n_0, g_vd, L, nu=nu) for _, n_0, g_vd in series]
 

@@ -67,7 +67,6 @@ class ShiftedDetunings:
     d_b: object
     d_1: object
     d_2: object
-    kv: object
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,6 @@ def shift_detunings(s: SystemParams, kv, delta_p=None) -> ShiftedDetunings:
         d_b=s.delta_b + s.alpha_3 * kv,
         d_1=s.delta_1 + s.alpha_1 * kv,
         d_2=s.delta_2 + s.alpha_2 * kv,
-        kv=kv,
     )
 
 
@@ -181,7 +179,8 @@ def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
         + np.abs(c00) ** 2 + np.abs(c01) ** 2 + np.abs(c * h - b * a2) ** 2
         + np.abs(a1 * a2 - c * g) ** 2 + np.abs(b * g - a1 * h) ** 2
         + np.abs(c * d - a1 * f) ** 2 + np.abs(a1 * a3 - b * d) ** 2)
-    couplings = sum(abs(x) ** 2 for x in (b, c, d, f, g, h))
+    # numpy scalars: the same pow, but inf on overflow instead of OverflowError
+    couplings = sum(np.float64(abs(x)) ** 2 for x in (b, c, d, f, g, h))
     norm_m = np.sqrt(np.abs(a3) ** 2 + np.abs(a1) ** 2 + np.abs(a2) ** 2 + couplings)
     return norm_m * norm_adj / np.abs(det)
 
@@ -198,7 +197,7 @@ def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
             return
     if not np.isfinite(cond).all():
         raise SingularSystem("steady-state matrix condition number is not finite "
-                             "(singular matrix, or overflow at huge detunings)")
+                             "(singular matrix, or overflow at huge detunings or fields)")
     raise SingularSystem(
         f"steady-state matrix condition number {float(np.max(cond)):.3e} exceeds "
         f"{COND_LIMIT:.1e} (dark-state degeneracy?)")

@@ -66,6 +66,10 @@ class DegenerateMagnetic(NumericalError):
     """The magnetization feedback denominator 1 - kappa_m*beta_BB vanishes."""
 
 
+class CouplingOverflow(NumericalError):
+    """A coupling product exceeds the double-precision range."""
+
+
 class PoleInSupport(NumericalError):
     """A response pole sits on the real velocity axis inside the
     integration window."""

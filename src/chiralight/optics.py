@@ -145,36 +145,36 @@ def grid_derivative(y, h):
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def _index_on_stencils(cfg, grid, mode, h):
-    """Evaluate the complex index on grid +- {0,h,2h} in one tracked pass.
+def _index_at(cfg, points, mode):
+    """Complex index at detunings ``points``, shaped like them.
 
-    Returns the (N, 5) stencil of indices, the grid, and the response
-    at the grid centers (free by-product, reused by the CLI).
+    Each distinct detuning is evaluated once; the sorted distinct
+    detunings form one branch-tracked path, so all points agree on the
+    square-root branch.  Also returns the response at the distinct
+    detunings and ``inverse``, which maps points into them.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    pts = (grid[:, None] + h * _STENCIL[None, :]).ravel()
-    xs, inverse = np.unique(pts, return_inverse=True)
+    points = np.asarray(points, dtype=float)
+    xs, inverse = np.unique(points.ravel(), return_inverse=True)
     resp = response_mod.spectrum(cfg, xs, mode=mode)
-    n_xs = refractive_index(resp, xs)
-    stencil_idx = inverse.reshape(grid.size, 5)
-    center = stencil_idx[:, 2]
-    resp_center = response_mod.OpticalResponse(
-        *(np.asarray(c)[center] for c in resp.components()))
-    return n_xs[stencil_idx], grid, resp_center
+    inverse = inverse.reshape(points.shape)
+    return refractive_index(resp, xs)[inverse], resp, inverse
 
 
 def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
-                      h: float = DEFAULT_STEP, return_response: bool = False):
+                      return_response: bool = False):
     """Dispersion quantities on a detuning grid (array-valued point).
 
     The derivative at each grid point comes from a dedicated local
-    five-point stencil of spacing h, so the output grid may be as
-    coarse as desired without degrading N_g.  Raises GridTooCoarse if
-    the Richardson error estimate exceeds 1% of the derivative.  With
+    five-point stencil of spacing DEFAULT_STEP, all stencils evaluated
+    in one branch-tracked pass, so the output grid may be as coarse as
+    desired without degrading N_g.  Raises GridTooCoarse if the
+    Richardson error estimate exceeds 1% of the derivative.  With
     return_response=True also returns the OpticalResponse at the grid
     centers.
     """
-    n5, grid, resp_center = _index_on_stencils(cfg, grid, mode, h)
+    h = DEFAULT_STEP
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    n5, resp, inverse = _index_at(cfg, grid[:, None] + h * _STENCIL, mode)
     deriv, est = _richardson(n5[:, 0], n5[:, 1], n5[:, 3], n5[:, 4], h)
     floor = 1e-6 * max(float(np.max(np.abs(deriv))), 1e-300)
     bad = est > DERIVATIVE_RTOL * np.maximum(np.abs(deriv), floor)
@@ -192,7 +192,8 @@ def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
     curve = DispersionPoint(delta_p=grid, n_complex=n_c, n_r=np.real(n_c),
                             N_g=n_g, v_g=v_g, tau=tau)
     if return_response:
-        return curve, resp_center
+        return curve, response_mod.OpticalResponse(
+            *(np.asarray(c)[inverse[:, 2]] for c in resp.components()))
     return curve
 
 
@@ -238,28 +239,20 @@ def delay_table(scenarios) -> list:
 
 
 def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
-                           omega3_hi: float, xtol: float = 1.0e-3,
-                           ng_pair=None) -> float:
+                           omega3_hi: float, xtol: float = 1.0e-3) -> float:
     """Control-field strength where cold and hot group indices cross.
 
     Bisects N_g_cold(omega_3) - N_g_hot(omega_3) at the probe detuning
-    stored in cfg.  ng_pair may inject an alternative
-    omega_3 -> (N_g_cold, N_g_hot) evaluator (used by tests with
-    synthetic dispersions).  Raises NonPositiveTolerance unless xtol is
-    finite and > 0.
+    stored in cfg.  Raises NonPositiveTolerance unless xtol is finite
+    and > 0.
     """
     if not (np.isfinite(xtol) and xtol > 0):
         raise NonPositiveTolerance(f"xtol must be finite and > 0, got {xtol!r}")
-    if ng_pair is None:
-        def ng_pair(o3):
-            c = with_overrides(cfg, system={"omega_3": float(o3)})
-            cold = group_index_at(c, c.system.delta_p, mode="cold").N_g
-            hot = group_index_at(c, c.system.delta_p, mode="hot").N_g
-            return cold, hot
 
     def gap(o3):
-        cold, hot = ng_pair(o3)
-        return cold - hot
+        c = with_overrides(cfg, system={"omega_3": float(o3)})
+        return (group_index_at(c, c.system.delta_p, mode="cold").N_g
+                - group_index_at(c, c.system.delta_p, mode="hot").N_g)
 
     g_lo, g_hi = gap(omega3_lo), gap(omega3_hi)
     if g_lo == 0 and g_hi == 0:

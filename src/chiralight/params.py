@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import (
@@ -44,7 +45,9 @@ class SystemParams:
     frequencies.  phi is the phase of the closed-loop microwave field.
     alpha_1..alpha_3 are the propagation signs (+1 co-propagating,
     -1 counter-propagating) multiplying the velocity shift kv in the
-    Doppler replacement of the respective detuning.
+    Doppler replacement of the respective detuning.  delta_1 and alpha_1
+    are validated and serialized but change no output: no diagonal term
+    of the coherence equations carries the shifted d_1.
     """
 
     omega_1: float = 0.1
@@ -93,8 +96,8 @@ class ValidatedConfig:
 
 
 def _finite(x) -> bool:
-    """A finite real number; booleans are not numbers here."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """A real number in the double range; booleans are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def check(system: SystemParams, medium: MediumParams) -> list:
@@ -194,7 +197,7 @@ def from_dict(doc: dict, base: ValidatedConfig | None = None) -> ValidatedConfig
 def loads(text: str, base: ValidatedConfig | None = None) -> ValidatedConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON, too many digits, too deep
         raise ConfigurationError(f"config is not valid JSON: {e}") from e
     return from_dict(doc, base=base)
 

@@ -126,14 +126,6 @@ def frequency_grid(ps: PulseSpec, t: np.ndarray) -> np.ndarray:
     return nu
 
 
-def dft(t: np.ndarray, samples: np.ndarray):
-    """Forward transform E(nu) = integral E(t) e^{-i nu t} dt."""
-    dt = t[1] - t[0]
-    nu = 2.0 * np.pi * np.fft.fftfreq(t.size, dt)
-    spec = dt * np.exp(-1j * nu * t[0]) * np.fft.fft(samples)
-    return nu, spec
-
-
 def idft(t: np.ndarray, nu: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """Inverse transform E(t) = (1/2pi) integral E(nu) e^{+i nu t} d nu."""
     dt = t[1] - t[0]
@@ -181,29 +173,16 @@ def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold") -> dict:
     return {"n_0": float(ng[2]), "g_vd": float(g_vd)}
 
 
-def quadratic_wavenumber(n_0: float, g_vd: float):
-    """k(nu) - k(0) for a pure first-order-dispersion medium (1/m)."""
-    def k_rel(nu):
-        return n_0 * np.asarray(nu) / C_LIGHT + 0.5 * g_vd * np.asarray(nu) ** 2
-    return k_rel
-
-
 def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec, mode: str = "cold"):
     """k(nu) - k(0) sampled from the full complex chiral index (1/m)."""
-    from . import response as response_mod
-
     def k_rel(nu):
         # evaluate the band and the nu = 0 carrier point in one sorted,
         # branch-tracked pass so their square-root signs agree
         nu = np.asarray(nu, dtype=float)
         flat = np.concatenate([nu.ravel(), [0.0]])
-        xs, inverse = np.unique(flat, return_inverse=True)
-        delta_p = xs / cfg.medium.gamma_unit
-        resp = response_mod.spectrum(cfg, delta_p, mode=mode)
-        n = optics.refractive_index(resp, delta_p)
-        k_xs = (ps.omega_0 + xs) * n / C_LIGHT
-        k_all = k_xs[inverse]
-        return (k_all[:-1] - k_all[-1]).reshape(nu.shape)
+        n, _, _ = optics._index_at(cfg, flat / cfg.medium.gamma_unit, mode)
+        k = (ps.omega_0 + flat) * n / C_LIGHT
+        return (k[:-1] - k[-1]).reshape(nu.shape)
     return k_rel
 
 
@@ -288,12 +267,6 @@ def normalized(samples) -> np.ndarray:
     if peak == 0:
         raise FlatTrace("cannot normalize an all-zero trace")
     return samples / peak
-
-
-def l2_difference(a, b) -> float:
-    """Relative L2 distance of peak-normalized envelopes."""
-    na, nb = normalized(a), normalized(b)
-    return float(np.linalg.norm(na - nb) / np.linalg.norm(nb))
 
 
 def _parabolic_peak(x, y):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coherences
-from .errors import DegenerateMagnetic
-from .params import ValidatedConfig, derived_couplings
+from .errors import CouplingOverflow, DegenerateMagnetic
+from .params import MediumParams, ValidatedConfig, derived_couplings
 
 # |1 - kappa_m*beta_BB| below this is treated as a degenerate
 # magnetization feedback (the elimination step divides by it).
@@ -44,10 +44,15 @@ class OpticalResponse:
 
 
 def response_from_betas(b: coherences.CoherenceCoefficients,
-                        kappa_e: float, r_mu: float) -> OpticalResponse:
-    """Assemble the four response functions from beta coefficients."""
-    kappa_m = kappa_e * r_mu * r_mu
-    kappa_x = kappa_e * r_mu
+                        medium: MediumParams) -> OpticalResponse:
+    """Assemble the four response functions from beta coefficients,
+    with the couplings of ``params.derived_couplings(medium)``."""
+    k = derived_couplings(medium)
+    kappa_e, kappa_m, kappa_x = k["kappa_e"], k["kappa_m"], k["kappa_x"]
+    try:
+        kappa_x2 = kappa_x ** 2
+    except OverflowError:
+        raise CouplingOverflow(f"kappa_x^2 overflows at kappa_e = {kappa_e:g}") from None
     den = 1.0 - kappa_m * np.asarray(b.beta_bb)
     if np.any(np.abs(den) < DEGENERATE_TOL):
         raise DegenerateMagnetic(
@@ -57,7 +62,7 @@ def response_from_betas(b: coherences.CoherenceCoefficients,
     xi_eh = kappa_x * np.asarray(b.beta_eb) / den
     xi_he = kappa_x * np.asarray(b.beta_be) / den
     chi_e = (kappa_e * np.asarray(b.beta_ee)
-             + kappa_x ** 2 * np.asarray(b.beta_eb) * np.asarray(b.beta_be) / den)
+             + kappa_x2 * np.asarray(b.beta_eb) * np.asarray(b.beta_be) / den)
     return OpticalResponse(chi_e=chi_e, chi_m=chi_m, xi_eh=xi_eh, xi_he=xi_he)
 
 
@@ -67,9 +72,7 @@ def response_at(cfg: ValidatedConfig, kv, delta_p=None) -> OpticalResponse:
     Inside ``coherences.reuse_betas()`` the betas of a repeated
     (system, kv, delta_p) input are reused rather than solved again.
     """
-    betas = coherences._betas_at(cfg, kv, delta_p)
-    k = derived_couplings(cfg.medium)
-    return response_from_betas(betas, k["kappa_e"], cfg.medium.dipole_ratio)
+    return response_from_betas(coherences._betas_at(cfg, kv, delta_p), cfg.medium)
 
 
 def spectrum(cfg: ValidatedConfig, grid, mode: str = "cold") -> OpticalResponse:

@@ -6,6 +6,9 @@ arrays, not the structure the production path exploits.
 
 import numpy as np
 
+from chiralight.params import C_LIGHT
+from chiralight.pulse import normalized
+
 
 def cond_frobenius(M):
     """Frobenius condition number ||M||_F * ||M^-1||_F of a (..., 3, 3) stack.
@@ -26,3 +29,28 @@ def cond_frobenius(M):
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(det == 0, np.inf, norm_m * norm_adj / np.abs(det))
     return cond
+
+
+def dft(t, samples):
+    """Forward transform E(nu) = integral E(t) e^{-i nu t} dt.
+
+    The counterpart of ``pulse.idft`` under the same e^{+i omega t}
+    convention, so transform pairs can be checked in both directions.
+    """
+    dt = t[1] - t[0]
+    nu = 2.0 * np.pi * np.fft.fftfreq(t.size, dt)
+    spec = dt * np.exp(-1j * nu * t[0]) * np.fft.fft(samples)
+    return nu, spec
+
+
+def quadratic_wavenumber(n_0, g_vd):
+    """k(nu) - k(0) for a pure first-order-dispersion medium (1/m)."""
+    def k_rel(nu):
+        return n_0 * np.asarray(nu) / C_LIGHT + 0.5 * g_vd * np.asarray(nu) ** 2
+    return k_rel
+
+
+def l2_difference(a, b):
+    """Relative L2 distance of peak-normalized envelopes."""
+    na, nb = normalized(a), normalized(b)
+    return float(np.linalg.norm(na - nb) / np.linalg.norm(nb))

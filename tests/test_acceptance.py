@@ -24,6 +24,7 @@ from chiralight import coherences, doppler, optics, presets, pulse, response
 from chiralight.doppler import QuadratureSpec
 from chiralight.params import (C_LIGHT, MediumParams, SystemParams, validate,
                                with_overrides)
+from oracles import dft, l2_difference, quadratic_wavenumber
 
 DOCS = pathlib.Path(__file__).parent.parent / "docs"
 
@@ -73,7 +74,7 @@ def _analytic_and_numeric(preset_name, mode):
     t = pulse.time_grid(ps, expected_peaks=(0.0, t_g))
     analytic = pulse.propagate_analytic(ps, n_0, g_vd, L, t=t)
     numeric = pulse.propagate_numeric(
-        ps, pulse.quadratic_wavenumber(n_0, g_vd), L, t=t)
+        ps, quadratic_wavenumber(n_0, g_vd), L, t=t)
     return ps, t, analytic, numeric, n_0, g_vd, L
 
 
@@ -158,13 +159,13 @@ def test_criterion_04_propagation_consistency(record):
         ps, t, analytic, numeric, n_0, g_vd, L = _analytic_and_numeric(
             preset_name, mode)
         worst_l2 = max(worst_l2,
-                       pulse.l2_difference(numeric.samples, analytic.samples))
-        nu, spec = pulse.dft(t, analytic.samples)
+                       l2_difference(numeric.samples, analytic.samples))
+        nu, spec = dft(t, analytic.samples)
         ref = pulse.output_spectrum(ps, n_0, g_vd, L, nu)
-        worst_pair = max(worst_pair, pulse.l2_difference(spec, ref.samples))
+        worst_pair = max(worst_pair, l2_difference(spec, ref.samples))
         back = pulse.idft(t, nu, ref.samples * np.sqrt(2.0 * np.pi))
         worst_pair = max(worst_pair,
-                         pulse.l2_difference(back, analytic.samples))
+                         l2_difference(back, analytic.samples))
     ok = worst_l2 < 1e-3 and worst_pair < 1e-6
     assert record(4, ok, f"envelope L2 {worst_l2:.1e}, "
                   f"transform pairs {worst_pair:.1e}")

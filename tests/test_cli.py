@@ -13,13 +13,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralight import optics, presets
 from chiralight.cli import _fmt, _jsonable, main, parse_grid
 from chiralight.errors import ConfigurationError
-from chiralight.params import C_LIGHT
+from chiralight.params import C_LIGHT, MediumParams, SystemParams
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -357,7 +357,11 @@ def test_null_config_section_exits_2(tmp_path, capsys, preset):
     assert "'system' must be a mapping" in err
 
 
-@pytest.mark.parametrize("content", [b'{"system": {', b'\xff\xfe{}'])
+@pytest.mark.parametrize("content", [
+    b'{"system": {', b'\xff\xfe{}',
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
+    pytest.param(b'{"system": {"omega_1": ' + b"9" * 5000 + b"}}", id="int-over-digit-limit"),
+])
 def test_malformed_config_file_over_preset_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "malformed.json"
     bad.write_bytes(content)
@@ -524,5 +528,59 @@ def cold_argv(draw):
 def test_fuzzed_cli_keeps_exit_code_contract(argv):
     code, out, err = _run_isolated(argv)
     assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    assert _run_isolated(argv) == (code, out, err)
+
+
+# Values a hand-written --config may carry: wrong types, nulls, a
+# 400-digit integer and magnitudes at the ends of the double range.
+HUGE_INT = int("9" * 400)
+CONFIG_VALUES = (None, "1", [], {}, True, 0, -1, 0.5, 2.0, 1e300, -1e300,
+                 1e-300, -1e-300, HUGE_INT, -HUGE_INT, float("nan"), float("inf"))
+CONFIG_COMMANDS = (
+    ("spectrum", "--mode", "cold", "--grid", "-1:1:5"),
+    ("delay", "--mode", "cold"),
+    ("pulse", "--mode", "cold"),
+    ("calibrate", "--target", "1607.5"),
+)
+
+
+def _config_keys(params):
+    return st.sampled_from(sorted(params.__dataclass_fields__) + ["extra_key"])
+
+
+@st.composite
+def config_doc(draw):
+    """A --config document: every alpha sign, extreme values, bad layouts."""
+    value = st.sampled_from(CONFIG_VALUES)
+    system = draw(st.dictionaries(_config_keys(SystemParams), value, max_size=3))
+    system.update(draw(st.fixed_dictionaries({}, optional={
+        f"alpha_{i}": st.sampled_from((1, -1, 1.0, -1.0)) for i in (1, 2, 3)})))
+    medium = draw(st.dictionaries(_config_keys(MediumParams), value, max_size=3))
+    doc = {"system": system, "medium": medium}
+    layout = draw(st.sampled_from(("plain",) * 4 + ("null", "list", "extra", "scalar")))
+    if layout == "null":
+        doc[draw(st.sampled_from(("system", "medium")))] = None
+    elif layout == "list":
+        doc["medium"] = [medium]
+    elif layout == "extra":
+        doc["extra_section"] = {}
+    elif layout == "scalar":
+        doc = draw(value)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(CONFIG_COMMANDS), preset=st.booleans(),
+       doc=config_doc())
+@example(CONFIG_COMMANDS[0], True, {"system": {"omega_1": HUGE_INT}})
+@example(CONFIG_COMMANDS[0], True, {"medium": {"density_coupling": 1e300}})
+@example(CONFIG_COMMANDS[0], False, {"system": {"omega_2": 1e200}})
+def test_fuzzed_config_keeps_exit_code_contract(tmp_path_factory, command, preset, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+    path.write_text(json.dumps(doc))
+    argv = [*command, *(("--preset", "fig2a") if preset else ()), "--config", str(path)]
+    code, out, err = _run_isolated(argv)
+    assert code in (0, 2, 3), (argv, doc, code, err)
     assert "Traceback" not in err
     assert _run_isolated(argv) == (code, out, err)

@@ -172,9 +172,24 @@ def test_branch_jump_names_the_detunings():
 
 
 def test_coarse_stencil_raises():
-    cfg = presets.get("fig2a").config()
-    with pytest.raises(GridTooCoarse, match="1%"):
-        optics.group_index_curve(cfg, [0.0], h=5.0)
+    # a Lorentzian of width 1e-3 is as narrow as the fixed step, so the
+    # two Richardson levels disagree at its center (0.025 vs 0.15)
+    cfg = with_overrides(
+        presets.get("fig2a").config(),
+        system={"gamma_1": 1e-3, "gamma_2": 1e-3, "gamma_3": 1e-3,
+                "gamma_4": 1e-3, "omega_1": 0.0, "omega_2": 0.0, "omega_3": 0.0},
+        medium={"density_coupling": 1e-6})
+    with pytest.raises(GridTooCoarse, match="1%.*step h=0.001"):
+        optics.group_index_curve(cfg, [0.0])
+
+
+@pytest.mark.parametrize("mode", ["cold", "hot"])
+def test_delta_1_and_alpha_1_enter_no_output(mode):
+    # no diagonal term of the coherence equations carries d_1
+    cfg = presets.get("fig8ab").config()
+    ref = optics.group_index_at(cfg, 0.0, mode=mode).N_g
+    for over in ({"delta_1": 0.3}, {"alpha_1": -1}):
+        assert optics.group_index_at(with_overrides(cfg, system=over), 0.0, mode=mode).N_g == ref
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +212,21 @@ def test_delay_table_values_and_annotations():
     assert bad[0]["error"].startswith("BranchJump: ")
 
 
-def test_planted_crossover_located():
-    cfg = presets.get("fig2a").config()
-    root = optics.superluminal_crossover(
-        cfg, 1.5, 5.0, ng_pair=lambda o3: (3.0 - o3, 1.0))
+def _plant_group_indices(monkeypatch, cold, hot):
+    """Replace the group index by cold(omega_3) / hot(omega_3)."""
+    def fake(cfg, delta_p, mode="cold"):
+        ng = (cold if mode == "cold" else hot)(cfg.system.omega_3)
+        return optics.DispersionPoint(delta_p, ng, ng, ng, C_LIGHT / ng, 0.0)
+    monkeypatch.setattr(optics, "group_index_at", fake)
+
+
+def test_planted_crossover_located(monkeypatch):
+    _plant_group_indices(monkeypatch, lambda o3: 3.0 - o3, lambda o3: 1.0)
+    root = optics.superluminal_crossover(presets.get("fig2a").config(), 1.5, 5.0)
     assert root == pytest.approx(2.0, abs=1e-3)
 
 
-def test_no_crossover_in_range_raises():
-    cfg = presets.get("fig2a").config()
-    with pytest.raises(NoCrossoverInRange):
-        optics.superluminal_crossover(
-            cfg, 0.1, 0.2, ng_pair=lambda o3: (2.0, 1.0))
+def test_no_crossover_in_range_raises(monkeypatch):
+    _plant_group_indices(monkeypatch, lambda o3: 2.0, lambda o3: 1.0)
+    with pytest.raises(NoCrossoverInRange, match="same sign"):
+        optics.superluminal_crossover(presets.get("fig2a").config(), 0.1, 0.2)

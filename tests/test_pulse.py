@@ -6,6 +6,8 @@ full-medium wavenumber is tied back to the dispersion layer through
 its slope and curvature at band center.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from chiralight import optics, presets, pulse
 from chiralight.errors import (AliasingDetected, BadPulseSpec, FlatTrace,
                               WindowTooNarrow)
 from chiralight.params import C_LIGHT
+from oracles import dft, l2_difference, quadratic_wavenumber
 
 L = 0.06
 
@@ -46,7 +49,7 @@ def test_dft_of_envelope_matches_analytic_spectrum():
     # spectrum up to the sqrt(2*pi) convention factor.
     ps = pulse.PulseSpec()
     env = pulse.input_envelope(ps)
-    nu, spec = pulse.dft(env.grid, env.samples)
+    nu, spec = dft(env.grid, env.samples)
     ref = pulse.input_spectrum(ps, nu).samples
     mask = np.abs(ref) > 1e-6 * np.max(np.abs(ref))
     ratio = spec[mask] / ref[mask]
@@ -56,7 +59,7 @@ def test_dft_of_envelope_matches_analytic_spectrum():
 def test_dft_idft_roundtrip():
     ps = pulse.PulseSpec()
     env = pulse.input_envelope(ps)
-    nu, spec = pulse.dft(env.grid, env.samples)
+    nu, spec = dft(env.grid, env.samples)
     back = pulse.idft(env.grid, nu, spec)
     assert np.allclose(back, env.samples, rtol=0, atol=1e-12)
 
@@ -118,8 +121,8 @@ def test_numeric_matches_analytic_for_quadratic_wavenumber():
     Tg = L * n_0 / C_LIGHT + g_vd * L * ps.delta
     t = pulse.time_grid(ps, expected_peaks=(0.0, Tg))
     analytic = pulse.propagate_analytic(ps, n_0, g_vd, L, t)
-    numeric = pulse.propagate_numeric(ps, pulse.quadratic_wavenumber(n_0, g_vd), L, t)
-    assert pulse.l2_difference(numeric.samples, analytic.samples) < 1e-9
+    numeric = pulse.propagate_numeric(ps, quadratic_wavenumber(n_0, g_vd), L, t)
+    assert l2_difference(numeric.samples, analytic.samples) < 1e-9
 
 
 def test_output_spectrum_is_transform_of_analytic_envelope():
@@ -128,11 +131,11 @@ def test_output_spectrum_is_transform_of_analytic_envelope():
     Tg = L * n_0 / C_LIGHT + g_vd * L * ps.delta
     t = pulse.time_grid(ps, expected_peaks=(0.0, Tg))
     analytic = pulse.propagate_analytic(ps, n_0, g_vd, L, t)
-    nu, spec = pulse.dft(t, analytic.samples)
+    nu, spec = dft(t, analytic.samples)
     ref = pulse.output_spectrum(ps, n_0, g_vd, L, nu)
-    assert pulse.l2_difference(spec, ref.samples) < 1e-6
+    assert l2_difference(spec, ref.samples) < 1e-6
     back = pulse.idft(t, nu, ref.samples * np.sqrt(2.0 * np.pi))
-    assert pulse.l2_difference(back, analytic.samples) < 1e-6
+    assert l2_difference(back, analytic.samples) < 1e-6
 
 
 def test_medium_wavenumber_consistent_with_dispersion_layer():
@@ -153,6 +156,24 @@ def test_medium_wavenumber_consistent_with_dispersion_layer():
     assert slope * C_LIGHT == pytest.approx(n_g0, rel=1e-5)
     assert coeff["n_0"] == pytest.approx(n_g0, rel=1e-9)
     assert curv == pytest.approx(coeff["g_vd"], rel=1e-3)
+
+
+# SHA-256 of k_rel(nu).tobytes() on MEDIUM_WAVENUMBER_NU.  No CLI command
+# reaches medium_wavenumber, so these digests are its byte-identity guard
+# (numbers of this host's numpy/LAPACK build, as in test_cli_golden.py).
+MEDIUM_WAVENUMBER_NU = np.array([-3.0e8, -1.0e6, 0.0, 2.5e5, 1.0e9])
+MEDIUM_WAVENUMBER_SHA256 = {
+    ("fig2a", "cold"): "67b97561080c9a82b765cab660ae60c3a08fd70f0fece4c0ab6051f6603f957d",
+    ("fig4a", "hot"): "0c97c58fef28dd6b1289cfcfd83846b6923372ff61c5bdd04a3ec31612a22835",
+}
+
+
+@pytest.mark.parametrize("preset, mode", list(MEDIUM_WAVENUMBER_SHA256))
+def test_medium_wavenumber_bytes_are_unchanged(preset, mode):
+    k_rel = pulse.medium_wavenumber(presets.get(preset).config(), pulse.PulseSpec(), mode=mode)
+    k = k_rel(MEDIUM_WAVENUMBER_NU)
+    assert k.dtype == complex and k.shape == MEDIUM_WAVENUMBER_NU.shape
+    assert hashlib.sha256(k.tobytes()).hexdigest() == MEDIUM_WAVENUMBER_SHA256[preset, mode]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +228,7 @@ def test_wraparound_detected_for_forced_window():
     period = (t[1] - t[0]) * t.size
     n_edge = 0.5 * period * C_LIGHT / L
     with pytest.raises(AliasingDetected, match="edge energy"):
-        pulse.propagate_numeric(ps, pulse.quadratic_wavenumber(n_edge, 0.0), L, t)
+        pulse.propagate_numeric(ps, quadratic_wavenumber(n_edge, 0.0), L, t)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -67,7 +67,8 @@ def test_degenerate_magnetic_feedback_raises():
     betas = CoherenceCoefficients(beta_ee=1.0j, beta_eb=0.1j, beta_be=0.1j,
                                   beta_bb=4.0 + 0.0j)
     with pytest.raises(errors.DegenerateMagnetic):
-        response_from_betas(betas, kappa_e=1.0, r_mu=0.5)  # kappa_m*bb = 1
+        response_from_betas(  # kappa_m*bb = 1
+            betas, MediumParams(density_coupling=1.0, dipole_ratio=0.5))
 
 
 def test_spectrum_single_point_matches_response_at():
