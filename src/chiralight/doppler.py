@@ -33,8 +33,10 @@ from .params import ValidatedConfig
 COLD_WIDTH = 1.0e-6
 
 # Points x nodes budget per batched evaluation when averaging over a
-# detuning grid (keeps the (grid, node, 3, 3) solve tensors in memory).
+# detuning grid (a chunk shares one convergence test), and per row block
+# of its integrand (keeps the (rows, node, 3, 3) solve tensors small).
 _CHUNK_BUDGET = 1_000_000
+_BLOCK_BUDGET = 16384
 
 
 @dataclass(frozen=True)
@@ -69,19 +71,19 @@ def _hermite(n: int):
     return _hermite_cache[n]
 
 
-def _as_stack(values):
-    """Normalize f's output (array or tuple of arrays) to one stack."""
+def _as_list(values):
+    """Normalize f's output (array or tuple of arrays) to a list of components."""
     if isinstance(values, (tuple, list)):
-        return np.stack([np.asarray(v, dtype=complex) for v in values]), True
-    return np.asarray(values, dtype=complex)[None, ...], False
+        return [np.asarray(v, dtype=complex) for v in values], True
+    return [np.asarray(values, dtype=complex)], False
 
 
 def _unstack(out, was_tuple):
-    """Inverse of _as_stack for the averaged values."""
+    """Inverse of _as_list for the averaged values."""
     return tuple(out) if was_tuple else out[0]
 
 
-def _rel_change(new, old, floor=None):
+def _rel_change(new, old, floor):
     """Max over components of point-wise change relative to component scale.
 
     floor (per component) anchors the scale to the L1 average of the
@@ -89,11 +91,8 @@ def _rel_change(new, old, floor=None):
     still register as converged.
     """
     err = 0.0
-    for i, (c_new, c_old) in enumerate(zip(new, old)):
-        scale = float(np.max(np.abs(c_new)))
-        if floor is not None:
-            scale = max(scale, float(floor[i]))
-        scale = max(scale, 1e-300)
+    for c_new, c_old, c_floor in zip(new, old, floor):
+        scale = max(float(np.max(np.abs(c_new))), float(c_floor), 1e-300)
         err = max(err, float(np.max(np.abs(c_new - c_old))) / scale)
     return err
 
@@ -103,8 +102,8 @@ def _gauss_hermite_average(f, v_d, spec):
     n = spec.node_count
     while n <= spec.max_nodes:
         x, w = _hermite(n)
-        vals, was_tuple = _as_stack(f(v_d * x))
-        cur = (vals * w).sum(axis=-1) / np.sqrt(np.pi)
+        vals, was_tuple = _as_list(f(v_d * x))
+        cur = np.array([(c * w).sum(axis=-1) for c in vals]) / np.sqrt(np.pi)
         floor = [(np.abs(c) * w).sum(axis=-1).max() / np.sqrt(np.pi) for c in vals]
         if prev is not None and _rel_change(cur, prev, floor) < spec.rel_tol:
             return _unstack(cur, was_tuple)
@@ -122,8 +121,8 @@ def _trapezoid_average(f, v_d, spec, shift=0.0):
     lo, hi = -T + shift, T + shift
 
     def weighted(kv):
-        vals, was_tuple = _as_stack(f(kv))
-        return vals * np.exp(-(kv / v_d) ** 2), was_tuple
+        vals, was_tuple = _as_list(f(kv))
+        return np.stack(vals) * np.exp(-(kv / v_d) ** 2), was_tuple
 
     n = max(spec.node_count, 16)
     kv = np.linspace(lo, hi, n + 1)
@@ -163,8 +162,8 @@ def doppler_average(f, v_d: float, spec: QuadratureSpec = QuadratureSpec()):
     falls back to :func:`trapezoid_average`.
     """
     if v_d < COLD_WIDTH:
-        vals, was_tuple = _as_stack(f(np.zeros(1)))
-        return _unstack(vals[..., 0], was_tuple)
+        vals, was_tuple = _as_list(f(np.zeros(1)))
+        return _unstack([v[..., 0] for v in vals], was_tuple)
     try:
         return _gauss_hermite_average(f, v_d, spec)
     except SingularSystem:
@@ -197,11 +196,10 @@ def hot_response(cfg: ValidatedConfig, delta_p) -> response_mod.OpticalResponse:
     """Doppler-averaged response at probe detuning(s) delta_p.
 
     Each component is averaged with the full shifted-detuning rule
-    (all alpha_i signs) applied at every quadrature node.  Grids are
-    processed in chunks to bound the size of the batched 3x3 solves.
+    (all alpha_i signs) applied at every quadrature node.  Grids go in
+    chunks, the integrand in row blocks, to bound the batched 3x3 solves.
     """
     delta_p = np.asarray(delta_p, dtype=float)
-    scalar_in = delta_p.ndim == 0
     grid = np.atleast_1d(delta_p)
 
     chunk = _CHUNK_BUDGET // QuadratureSpec().max_nodes
@@ -210,13 +208,17 @@ def hot_response(cfg: ValidatedConfig, delta_p) -> response_mod.OpticalResponse:
         sub = grid[start:start + chunk]
 
         def f(kv, _sub=sub):
-            r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None])
-            return r.components()
+            step = max(1, _BLOCK_BUDGET // kv.size)
+            if step >= _sub.size:  # one block: no copy
+                r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None])
+                return r.components()
+            out = [np.empty((_sub.size, kv.size), dtype=complex) for _ in range(4)]
+            for i in range(0, _sub.size, step):
+                r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[i:i + step, None])
+                for o, c in zip(out, r.components()):
+                    o[i:i + step] = c
+            return out
 
         parts.append(doppler_average(f, cfg.medium.v_doppler))
-    comps = [np.concatenate([p[i] for p in parts]) for i in range(4)]
-    out = response_mod.OpticalResponse(*comps)
-
-    if scalar_in:
-        out = response_mod.OpticalResponse(*(c[0] for c in out.components()))
-    return out
+    comps = [np.concatenate(c) for c in zip(*parts)]
+    return response_mod.OpticalResponse(*(c[0] if delta_p.ndim == 0 else c for c in comps))

@@ -1,10 +1,12 @@
 """Maxwellian velocity averaging: quadratures, fallbacks, hot response."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chiralight import errors
+from chiralight import doppler, errors
 from chiralight.doppler import (COLD_WIDTH, QuadratureSpec, doppler_average,
                                 hot_response, trapezoid_average)
 from chiralight.params import MediumParams, SystemParams, validate
@@ -180,6 +182,27 @@ def test_hot_response_scalar_and_chunked_grid_agree(subluminal_cfg):
         assert np.asarray(full.chi_e)[i] == pytest.approx(
             complex(np.asarray(one.chi_e)), rel=1e-9)
         assert np.isscalar(np.asarray(one.chi_e).item())
+
+
+def test_row_blocks_keep_every_bit_and_cut_the_peak(subluminal_cfg, monkeypatch):
+    """The integrand in row blocks equals one whole-chunk batch bit for
+    bit, and the solve tensors no longer set the traced peak."""
+    grid = np.linspace(-1, 1, 41)
+
+    def run(budget):
+        monkeypatch.setattr(doppler, "_BLOCK_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            out = hot_response(subluminal_cfg, grid)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = run(10**9)
+    blocked, blocked_peak = run(512)
+    for a, b in zip(blocked.components(), whole.components()):
+        assert np.array_equal(a, b)
+    assert blocked_peak < 0.7 * whole_peak
 
 
 def test_thermal_width_family_is_monotone_at_resonance():
