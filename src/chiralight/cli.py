@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -272,7 +273,7 @@ def cmd_pulse(args) -> int:
         pulse_mod.output_spectrum(ps, n_0, g_vd, L, nu=nu) for _, n_0, g_vd in series]
 
     keys = ["input"] + [label for label, _, _ in series]
-    step = 1 if args.full else max(1, ps.n_samples // 2048)
+    step = 1 if args.full else max(1, pulse_mod.N_SAMPLES // 2048)
     rows = []
     for section, x, traces in (("time", t / ps.tau_0, [trace_in] + outputs),
                                ("frequency", nu / ps.delta_w, spectra)):
@@ -476,7 +477,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_negative_values(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe (`| head`) raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: drop the rest quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
@@ -486,6 +492,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: MemoryError: {exc}", file=sys.stderr)
         return 3
 
 

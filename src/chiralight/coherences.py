@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import CouplingOverflow, SingularSystem
 from .params import SystemParams, ValidatedConfig
 
 # Frobenius condition number above which the steady-state system is
@@ -159,7 +159,7 @@ def build_system_matrix(s: SystemParams, dt: DenominatorTerms):
 
 
 def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
-    """Frobenius condition number ||M||_F * ||adj M||_F / |det M|.
+    """Frobenius condition number ||M||_F * ||adj M||_F / |det M|, and det M.
 
     Built from the diagonal terms and the scalar couplings, without
     assembling M: ||M||_F^2 is |a1|^2 + |a2|^2 + |a3|^2 plus a constant,
@@ -182,22 +182,26 @@ def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
     # numpy scalars: the same pow, but inf on overflow instead of OverflowError
     couplings = sum(np.float64(abs(x)) ** 2 for x in (b, c, d, f, g, h))
     norm_m = np.sqrt(np.abs(a3) ** 2 + np.abs(a1) ** 2 + np.abs(a2) ** 2 + couplings)
-    return norm_m * norm_adj / np.abs(det)
+    return norm_m * norm_adj / np.abs(det), det
 
 
 def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
-    """Raise SingularSystem unless M is well conditioned everywhere.
+    """Raise unless M is well conditioned everywhere.
 
-    M is rejected where its Frobenius condition number is not finite
-    (det M = 0, or overflow at huge detunings) or exceeds COND_LIMIT.
+    SingularSystem where det M = 0 or the Frobenius condition number
+    exceeds COND_LIMIT; CouplingOverflow where the condition number is
+    not finite although det M is not 0 (products of huge detunings or
+    fields overflow).
     """
     with np.errstate(all="ignore"):  # overflow gives inf/nan, rejected below
-        cond = _frobenius_cond(s, dt)
+        cond, det = _frobenius_cond(s, dt)
         if np.all(cond <= COND_LIMIT):
             return
-    if not np.isfinite(cond).all():
-        raise SingularSystem("steady-state matrix condition number is not finite "
-                             "(singular matrix, or overflow at huge detunings or fields)")
+        finite = np.isfinite(cond)
+    if np.any(~finite & (det != 0)):
+        raise CouplingOverflow("steady-state matrix overflows at huge detunings or fields")
+    if not finite.all():
+        raise SingularSystem("steady-state matrix is singular (det M = 0)")
     raise SingularSystem(
         f"steady-state matrix condition number {float(np.max(cond)):.3e} exceeds "
         f"{COND_LIMIT:.1e} (dark-state degeneracy?)")

@@ -13,12 +13,15 @@ its fallback when an integrand cannot be evaluated at a node and an
 independent check on it -- the two must agree to 1e-8 on the
 acceptance parameter sets, and the test suite checks that they do.
 
-Reductions use numpy's pairwise summation on nodes in a fixed order,
-so results are deterministic for a given QuadratureSpec.
+Integrands return a sequence of component arrays (last axis = kv) and
+averages come back as a tuple.  Reductions use numpy's pairwise
+summation on nodes in a fixed order, so results are deterministic for
+a given QuadratureSpec.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,25 +65,9 @@ class QuadratureSpec:
             raise ValueError("truncation and rel_tol must be > 0")
 
 
-_hermite_cache: dict = {}
-
-
+@functools.cache
 def _hermite(n: int):
-    if n not in _hermite_cache:
-        _hermite_cache[n] = roots_hermite(n)
-    return _hermite_cache[n]
-
-
-def _as_list(values):
-    """Normalize f's output (array or tuple of arrays) to a list of components."""
-    if isinstance(values, (tuple, list)):
-        return [np.asarray(v, dtype=complex) for v in values], True
-    return [np.asarray(values, dtype=complex)], False
-
-
-def _unstack(out, was_tuple):
-    """Inverse of _as_list for the averaged values."""
-    return tuple(out) if was_tuple else out[0]
+    return roots_hermite(n)
 
 
 def _rel_change(new, old, floor):
@@ -102,11 +89,11 @@ def _gauss_hermite_average(f, v_d, spec):
     n = spec.node_count
     while n <= spec.max_nodes:
         x, w = _hermite(n)
-        vals, was_tuple = _as_list(f(v_d * x))
+        vals = f(v_d * x)
         cur = np.array([(c * w).sum(axis=-1) for c in vals]) / np.sqrt(np.pi)
         floor = [(np.abs(c) * w).sum(axis=-1).max() / np.sqrt(np.pi) for c in vals]
         if prev is not None and _rel_change(cur, prev, floor) < spec.rel_tol:
-            return _unstack(cur, was_tuple)
+            return tuple(cur)
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
@@ -121,12 +108,11 @@ def _trapezoid_average(f, v_d, spec, shift=0.0):
     lo, hi = -T + shift, T + shift
 
     def weighted(kv):
-        vals, was_tuple = _as_list(f(kv))
-        return np.stack(vals) * np.exp(-(kv / v_d) ** 2), was_tuple
+        return np.stack(f(kv)) * np.exp(-(kv / v_d) ** 2)
 
     n = max(spec.node_count, 16)
     kv = np.linspace(lo, hi, n + 1)
-    g, was_tuple = weighted(kv)
+    g = weighted(kv)
     h = (hi - lo) / n
 
     def trap(arr):
@@ -135,7 +121,7 @@ def _trapezoid_average(f, v_d, spec, shift=0.0):
     S, A = trap(g), trap(np.abs(g))
     while n <= spec.max_nodes:
         mids = lo + (np.arange(n) + 0.5) * h
-        gm, _ = weighted(mids)
+        gm = weighted(mids)
         S_new = 0.5 * S + 0.5 * h * gm.sum(axis=-1)
         A = 0.5 * A + 0.5 * h * np.abs(gm).sum(axis=-1)
         n *= 2
@@ -143,7 +129,7 @@ def _trapezoid_average(f, v_d, spec, shift=0.0):
         norm = v_d * np.sqrt(np.pi)
         floor = [c.max() / norm for c in A]
         if _rel_change(S_new / norm, S / norm, floor) < spec.rel_tol:
-            return _unstack(S_new / norm, was_tuple)
+            return tuple(S_new / norm)
         S = S_new
     raise QuadratureNotConverged(
         f"adaptive trapezoid not converged to {spec.rel_tol:g} "
@@ -153,17 +139,16 @@ def _trapezoid_average(f, v_d, spec, shift=0.0):
 def doppler_average(f, v_d: float, spec: QuadratureSpec = QuadratureSpec()):
     """Average f(kv) over the Maxwellian weight of width v_d.
 
-    f maps an array of kv samples to one complex array (last axis =
-    kv) or to a tuple of such arrays, which are averaged together in
-    one pass.  For v_d below the cold threshold the kv = 0 value is
-    returned exactly.
+    f maps an array of kv samples to a sequence of complex component
+    arrays (last axis = kv); the result is the tuple of their averages.
+    For v_d below the cold threshold the kv = 0 values are returned
+    exactly.
 
     If f raises SingularSystem at a Gauss-Hermite node the average
     falls back to :func:`trapezoid_average`.
     """
     if v_d < COLD_WIDTH:
-        vals, was_tuple = _as_list(f(np.zeros(1)))
-        return _unstack([v[..., 0] for v in vals], was_tuple)
+        return tuple(v[..., 0] for v in f(np.zeros(1)))
     try:
         return _gauss_hermite_average(f, v_d, spec)
     except SingularSystem:
@@ -192,15 +177,15 @@ def trapezoid_average(f, v_d: float, spec: QuadratureSpec):
             f"integration window: {exc}") from exc
 
 
-def hot_response(cfg: ValidatedConfig, delta_p) -> response_mod.OpticalResponse:
-    """Doppler-averaged response at probe detuning(s) delta_p.
+def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
+    """Doppler-averaged response on a 1-D probe-detuning grid.
 
     Each component is averaged with the full shifted-detuning rule
-    (all alpha_i signs) applied at every quadrature node.  Grids go in
-    chunks, the integrand in row blocks, to bound the batched 3x3 solves.
+    (all alpha_i signs) applied at every quadrature node and comes back
+    shaped like grid.  Grids go in chunks, the integrand in row blocks,
+    to bound the batched 3x3 solves.
     """
-    delta_p = np.asarray(delta_p, dtype=float)
-    grid = np.atleast_1d(delta_p)
+    grid = np.asarray(grid, dtype=float)
 
     chunk = _CHUNK_BUDGET // QuadratureSpec().max_nodes
     parts = []
@@ -220,5 +205,4 @@ def hot_response(cfg: ValidatedConfig, delta_p) -> response_mod.OpticalResponse:
             return out
 
         parts.append(doppler_average(f, cfg.medium.v_doppler))
-    comps = [np.concatenate(c) for c in zip(*parts)]
-    return response_mod.OpticalResponse(*(c[0] if delta_p.ndim == 0 else c for c in comps))
+    return response_mod.OpticalResponse(*(np.concatenate(c) for c in zip(*parts)))

@@ -48,8 +48,8 @@ class NonPositiveCoupling(ConfigurationError):
 
 
 class BadPulseSpec(ConfigurationError):
-    """A pulse width, carrier, window or sample count is non-finite or
-    outside its domain."""
+    """A pulse width or spectral offset is non-finite or outside its
+    domain."""
 
 
 class NonPositiveTolerance(ConfigurationError):
@@ -67,7 +67,9 @@ class DegenerateMagnetic(NumericalError):
 
 
 class CouplingOverflow(NumericalError):
-    """A coupling product exceeds the double-precision range."""
+    """A coupling or detuning product exceeds the double-precision
+    range (kappa_x^2, or the steady-state matrix at huge detunings or
+    fields)."""
 
 
 class PoleInSupport(NumericalError):

@@ -61,18 +61,13 @@ class DispersionPoint:
 
 
 def _tracked_sqrt(w, seed_idx):
-    """Continuity-tracked square root of a complex path w.
+    """Continuity-tracked square root along a 1-D complex path w.
 
     The relative sign between consecutive points is chosen to minimize
     the jump; the overall sign is anchored at seed_idx with Re >= 0
     (Im >= 0 as tie-break), i.e. continuous with the vacuum value +1.
     """
     r = np.sqrt(w)
-    if r.ndim == 0 or r.size == 1:
-        s = r if np.real(r) >= 0 else -r
-        if np.real(s) == 0 and np.imag(s) < 0:
-            s = -s
-        return s
     keep = np.abs(r[1:] - r[:-1])
     flip = np.abs(r[1:] + r[:-1])
     rel = np.where(flip < keep, -1.0, 1.0)
@@ -84,30 +79,22 @@ def _tracked_sqrt(w, seed_idx):
 
 
 def refractive_index(resp: response_mod.OpticalResponse, delta_p):
-    """Complex chiral refractive index; branch-tracked for array input.
+    """Complex chiral index along a 1-D detuning path, branch-tracked.
 
-    delta_p holds the detunings the response was evaluated at; a
-    branch jump is reported between the two it falls between.
+    The response components are 1-D arrays evaluated at the detunings
+    delta_p (one point is a path of length one); a branch jump is
+    reported between the two detunings it falls between.
     """
-    chi_e = np.asarray(resp.chi_e)
-    chi_m = np.asarray(resp.chi_m)
-    xi_eh = np.asarray(resp.xi_eh)
-    xi_he = np.asarray(resp.xi_he)
-    w = (1.0 + chi_e) * (1.0 + chi_m) - 0.25 * (xi_eh + xi_he) ** 2
-    if w.ndim == 0:
-        root = _tracked_sqrt(w, 0)
-    else:
-        seed = int(np.argmax(np.abs(1.0 + chi_e)))
-        root = _tracked_sqrt(w, seed)
-        jumps = np.abs(np.diff(root))
-        if jumps.size and float(jumps.max()) > BRANCH_JUMP_LIMIT:
-            i = int(np.argmax(jumps))
-            d = np.asarray(delta_p)
-            raise BranchJump(
-                f"refractive-index branch discontinuity {jumps.max():.3g} "
-                f"(> {BRANCH_JUMP_LIMIT}) between Delta_p = {d[i]:.12g} "
-                f"and {d[i + 1]:.12g}")
-    return root + 0.5j * (xi_eh - xi_he)
+    w = (1.0 + resp.chi_e) * (1.0 + resp.chi_m) - 0.25 * (resp.xi_eh + resp.xi_he) ** 2
+    root = _tracked_sqrt(w, int(np.argmax(np.abs(1.0 + resp.chi_e))))
+    jumps = np.abs(np.diff(root))
+    if jumps.size and float(jumps.max()) > BRANCH_JUMP_LIMIT:
+        i = int(np.argmax(jumps))
+        raise BranchJump(
+            f"refractive-index branch discontinuity {jumps.max():.3g} "
+            f"(> {BRANCH_JUMP_LIMIT}) between Delta_p = {delta_p[i]:.12g} "
+            f"and {delta_p[i + 1]:.12g}")
+    return root + 0.5j * (resp.xi_eh - resp.xi_he)
 
 
 def _richardson(y_m2, y_m1, y_p1, y_p2, h):

@@ -1,12 +1,13 @@
 """Gaussian probe-pulse propagation through the dispersive medium.
 
-Input pulse (optical carrier omega_0 removed; all stored samples are
-envelopes):
+A pulse is a PulseSpec (tau_0, delta), sampled on the grid the caller
+passes (from time_grid / frequency_grid); stored samples are envelopes:
 
     E_in(t)  = exp(-t^2/tau_0^2) * exp(i*delta*t)
     E_in(nu) = (tau_0/sqrt(2)) * exp(-(nu - delta)^2 tau_0^2 / 4)
 
-with nu = omega - omega_0 the offset from the carrier.  Propagation
+with nu = omega - omega_0 the offset from the medium's carrier
+omega_0 = omega_14*gamma_unit, i.e. nu = Delta_p*gamma_unit.  Propagation
 over length L multiplies the spectrum by the transfer function
 H = exp(-i*k(nu)*L); the constant k(0)*L (global carrier phase and
 attenuation) is factored out of every path, so envelopes keep the
@@ -28,7 +29,6 @@ E(t) = (1/2pi) * integral E(nu) e^{+i nu t} d nu.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,36 +42,30 @@ from .params import C_LIGHT, ValidatedConfig, _finite
 EDGE_AMPLITUDE_TOL = 1.0e-8
 EDGE_ENERGY_TOL = 1.0e-6
 
-
-def _positive(x) -> bool:
-    return _finite(x) and x > 0
+# Samples per time window, and the minimum window width in units of tau_0.
+N_SAMPLES = 2 ** 14
+WINDOW_TAU = 64.0
 
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Input pulse parameters and sampling defaults.
+    """Input pulse parameters.
 
-    tau_0 is the 1/e half-width of the field envelope (seconds), delta
-    the upshift of the pulse spectrum from the carrier (rad/s), and
-    omega_0 the carrier angular frequency (rad/s).  window_tau is the
-    minimum time-window width in units of tau_0.
+    tau_0 is the 1/e half-width of the field envelope (seconds, finite
+    and > 0) and delta the upshift of the pulse spectrum from the
+    carrier (rad/s, finite).  The carrier comes from the medium and the
+    sampling from N_SAMPLES and WINDOW_TAU.
     """
 
     tau_0: float = 5.50e-9
     delta: float = 2.0e9
-    omega_0: float = 1.0e13
-    n_samples: int = 2 ** 14
-    window_tau: float = 64.0
 
     def __post_init__(self):
-        bad = [f"{name} must be finite and > 0, got {getattr(self, name)!r}"
-               for name in ("tau_0", "omega_0", "window_tau")
-               if not _positive(getattr(self, name))]
+        bad = []
+        if not (_finite(self.tau_0) and self.tau_0 > 0):
+            bad.append(f"tau_0 must be finite and > 0, got {self.tau_0!r}")
         if not _finite(self.delta):
             bad.append(f"delta must be finite, got {self.delta!r}")
-        n = self.n_samples
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-            bad.append(f"n_samples must be an integer >= 2, got {n!r}")
         if bad:
             raise BadPulseSpec("invalid pulse: " + "; ".join(bad))
 
@@ -100,7 +94,7 @@ class PulseTrace:
 def time_grid(ps: PulseSpec, expected_peaks=(0.0,)) -> np.ndarray:
     """Uniform time grid covering t = 0 and every expected peak.
 
-    The window is at least window_tau*tau_0 wide with a 16*tau_0
+    The window is at least WINDOW_TAU*tau_0 wide with a 16*tau_0
     margin beyond the outermost peak, so both the input (at t = 0) and
     delayed/advanced outputs fit without wrap-around.
     """
@@ -109,10 +103,10 @@ def time_grid(ps: PulseSpec, expected_peaks=(0.0,)) -> np.ndarray:
     lo = min(0.0, float(peaks.min())) - margin
     hi = max(0.0, float(peaks.max())) + margin
     width = hi - lo
-    if width < ps.window_tau * ps.tau_0:
-        pad = 0.5 * (ps.window_tau * ps.tau_0 - width)
+    if width < WINDOW_TAU * ps.tau_0:
+        pad = 0.5 * (WINDOW_TAU * ps.tau_0 - width)
         lo, hi = lo - pad, hi + pad
-    return np.linspace(lo, hi, ps.n_samples, endpoint=False)
+    return np.linspace(lo, hi, N_SAMPLES, endpoint=False)
 
 
 def frequency_grid(ps: PulseSpec, t: np.ndarray) -> np.ndarray:
@@ -132,22 +126,18 @@ def idft(t: np.ndarray, nu: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec * np.exp(1j * nu * t[0])) / dt
 
 
-def input_envelope(ps: PulseSpec, t=None) -> PulseTrace:
-    """Gaussian input envelope exp(-t^2/tau_0^2) exp(i delta t)."""
-    if t is None:
-        t = time_grid(ps)
+def input_envelope(ps: PulseSpec, t) -> PulseTrace:
+    """Gaussian input envelope exp(-t^2/tau_0^2) exp(i delta t) on t."""
     samples = np.exp(-(t / ps.tau_0) ** 2) * np.exp(1j * ps.delta * t)
     return PulseTrace(domain="time", grid=t, samples=samples)
 
 
-def input_spectrum(ps: PulseSpec, nu=None) -> PulseTrace:
-    """Analytic input spectrum (tau_0/sqrt(2)) exp(-(nu-delta)^2 tau_0^2/4).
+def input_spectrum(ps: PulseSpec, nu) -> PulseTrace:
+    """Analytic input spectrum (tau_0/sqrt(2)) exp(-(nu-delta)^2 tau_0^2/4) on nu.
 
     Raises WindowTooNarrow if the spectrum is truncated above
     1e-8 of its peak at the edge of the sampled band.
     """
-    if nu is None:
-        nu = frequency_grid(ps, time_grid(ps))
     samples = (ps.tau_0 / np.sqrt(2.0)) * np.exp(
         -((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
     edge = np.abs(samples[np.argmax(np.abs(nu))])
@@ -174,21 +164,24 @@ def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold") -> dict:
 
 
 def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec, mode: str = "cold"):
-    """k(nu) - k(0) sampled from the full complex chiral index (1/m)."""
+    """k(nu) - k(0) sampled from the full complex chiral index (1/m).
+
+    The carrier is the medium's omega_14*gamma_unit; ps does not enter k.
+    """
     def k_rel(nu):
         # evaluate the band and the nu = 0 carrier point in one sorted,
         # branch-tracked pass so their square-root signs agree
         nu = np.asarray(nu, dtype=float)
         flat = np.concatenate([nu.ravel(), [0.0]])
         n, _, _ = optics._index_at(cfg, flat / cfg.medium.gamma_unit, mode)
-        k = (ps.omega_0 + flat) * n / C_LIGHT
+        k = (cfg.medium.omega_14 * cfg.medium.gamma_unit + flat) * n / C_LIGHT
         return (k[:-1] - k[-1]).reshape(nu.shape)
     return k_rel
 
 
 def propagate_analytic(ps: PulseSpec, n_0: float, g_vd: float, L: float,
-                       t=None) -> PulseTrace:
-    """Closed-form first-order-dispersion output envelope.
+                       t) -> PulseTrace:
+    """Closed-form first-order-dispersion output envelope on t.
 
     E_out(t) = tau_0/sqrt(tau_0^2 + 2i L G_vd)
                * exp[i delta (t - L n_0/c) - i G_vd L delta^2/2]
@@ -200,8 +193,6 @@ def propagate_analytic(ps: PulseSpec, n_0: float, g_vd: float, L: float,
     beta = g_vd * L
     T0 = L * n_0 / C_LIGHT
     Tg = T0 + beta * ps.delta
-    if t is None:
-        t = time_grid(ps, expected_peaks=(Tg,))
     denom = ps.tau_0 ** 2 + 2j * beta
     samples = (ps.tau_0 / np.sqrt(denom)
                * np.exp(1j * ps.delta * (t - T0) - 0.5j * beta * ps.delta ** 2)
@@ -242,16 +233,14 @@ def _check_wraparound(samples):
 
 
 def output_spectrum(ps: PulseSpec, n_0: float, g_vd: float, L: float,
-                    nu=None) -> PulseTrace:
-    """Frequency-domain output under first-order dispersion.
+                    nu) -> PulseTrace:
+    """Frequency-domain output on nu under first-order dispersion.
 
     Product of the input spectrum and the quadratic-phase transfer
     function, with the sqrt(2)*pi/Delta_w normalization kept verbatim
     (for Delta_w = 2 pi/tau_0 it equals the input prefactor
     tau_0/sqrt(2), so L = 0 reduces exactly to the input spectrum).
     """
-    if nu is None:
-        nu = frequency_grid(ps, time_grid(ps))
     prefactor = np.sqrt(2.0) * np.pi / ps.delta_w
     phase = (n_0 * nu + 0.5 * C_LIGHT * g_vd * nu ** 2) * L / C_LIGHT
     samples = (prefactor * np.exp(-((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)

@@ -8,7 +8,10 @@ back and cross-checked against the library, and the exit-code contract
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chiralight
 from chiralight import optics, presets
 from chiralight.cli import _fmt, _jsonable, main, parse_grid
 from chiralight.errors import ConfigurationError
@@ -438,11 +442,59 @@ def test_overflowing_detuning_grid_exits_3_without_warnings(capsys):
                              "--grid", "0:1e300:3")
     assert code == 3
     assert out == ""
-    assert err.startswith("numerical failure: SingularSystem:")
-    assert "condition number is not finite" in err
+    assert err.startswith("numerical failure: CouplingOverflow:")
+    assert "overflows at huge detunings or fields" in err
     assert len(err.splitlines()) == 1
     assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"),
+     {"medium": {"v_doppler": 1e150}}),
+    (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"),
+     {"system": {"omega_2": 1e200}}),
+    (("crossover", "--preset", "fig7"), {"system": {"omega_2": 1e200}}),
+], ids=["hot-v_doppler", "hot-omega_2", "crossover-omega_2"])
+def test_overflow_in_hot_average_is_not_a_pole(tmp_path, capsys, argv, doc):
+    # overflowing Doppler nodes or fields are no real-axis pole: the
+    # average must neither fall back to the trapezoid rule nor report
+    # PoleInSupport, and the cold half of crossover names the same error
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--config", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: CouplingOverflow:")
+    assert len(err.splitlines()) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_closed_stdout_pipe_exits_0_without_traceback():
+    # `chiralight spectrum ... | head -1`: the reader leaves after one line
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(chiralight.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chiralight.cli", "spectrum", "--preset", "fig2a",
+         "--grid", "-10:10:20001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first.startswith(b"delta_p,mode,v_doppler,")
+    assert err == b""
+
+
+def test_out_of_memory_is_a_named_numerical_failure(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.12 GiB for an array")
+
+    monkeypatch.setattr(optics, "group_index_curve", exhausted)
+    code, out, err = run(capsys, "spectrum", "--preset", "fig2a", "--grid", "0:1:3")
+    assert code == 3 and out == ""
+    assert err == "numerical failure: MemoryError: Unable to allocate 1.12 GiB for an array\n"
 
 
 @pytest.mark.parametrize("argv", [

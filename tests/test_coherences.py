@@ -214,7 +214,7 @@ def test_structured_condition_number_matches_generic_oracle(
     sd = shift_detunings(s, np.array([[kv, 0.5 * kv, -kv, 0.0]]),
                          delta_p=np.array([[dp], [-dp], [dp + 1.0]]))
     dt = denominator_terms(s, sd)
-    got = _frobenius_cond(s, dt)
+    got, _ = _frobenius_cond(s, dt)
     want = cond_frobenius(build_system_matrix(s, dt))
     assert got.shape == want.shape == (3, 4)
     assert np.all(np.abs(got - want) <= 1e-12 * want)

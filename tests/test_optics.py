@@ -17,8 +17,9 @@ from chiralight.response import OpticalResponse
 
 
 def _flat(chi_e=0.0, chi_m=0.0, xi_eh=0.0, xi_he=0.0):
-    return OpticalResponse(complex(chi_e), complex(chi_m),
-                           complex(xi_eh), complex(xi_he))
+    """A one-point response (1-element component arrays)."""
+    return OpticalResponse(*(np.array([x], dtype=complex)
+                             for x in (chi_e, chi_m, xi_eh, xi_he)))
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +27,8 @@ def _flat(chi_e=0.0, chi_m=0.0, xi_eh=0.0, xi_he=0.0):
 
 
 def test_zero_response_index_is_unity():
-    assert optics.refractive_index(_flat(), 0.0) == 1.0 + 0.0j
+    (n,) = optics.refractive_index(_flat(), np.zeros(1))
+    assert n == 1.0 + 0.0j
     z = np.zeros(7, dtype=complex)
     n = optics.refractive_index(OpticalResponse(z, z, z, z), np.arange(7.0))
     assert np.array_equal(n, np.ones(7, dtype=complex))
@@ -36,14 +38,14 @@ def test_symmetric_cross_coupling_has_no_imaginary_offset():
     # When xi_EH == xi_HE the difference term vanishes and the index is
     # a plain square root of the material factor.
     chi_e, chi_m, xi = 0.2 + 0.05j, 1.0e-4 + 1.0e-5j, 0.01 + 0.002j
-    n = optics.refractive_index(_flat(chi_e, chi_m, xi, xi), 0.0)
+    (n,) = optics.refractive_index(_flat(chi_e, chi_m, xi, xi), np.zeros(1))
     expected = np.sqrt((1 + chi_e) * (1 + chi_m) - xi**2)
     assert n == pytest.approx(expected, rel=1e-14)
 
 
 def test_antisymmetric_cross_coupling_adds_imaginary_part():
     xi_eh, xi_he = 0.02, -0.01
-    n = optics.refractive_index(_flat(0.0, 0.0, xi_eh, xi_he), 0.0)
+    (n,) = optics.refractive_index(_flat(0.0, 0.0, xi_eh, xi_he), np.zeros(1))
     root = np.sqrt(1.0 - 0.25 * (xi_eh + xi_he) ** 2)
     assert n == pytest.approx(root + 0.5j * (xi_eh - xi_he), rel=1e-14)
 
