@@ -17,7 +17,7 @@ error (every violation is listed), 3 numerical failure (named).
 from __future__ import annotations
 
 import argparse
-import contextlib
+import functools
 import json
 import math
 import os
@@ -51,8 +51,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, (float, np.floating)):
         return float(value) + 0.0
-    if isinstance(value, np.integer):
-        return int(value)
     return value
 
 
@@ -73,8 +71,6 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigurationError(f"bad --grid {text!r}: lo, hi must be finite")
     if count < 1:
         raise ConfigurationError(f"bad --grid {text!r}: empty grid (count < 1)")
-    if count == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, count)
 
 
@@ -124,35 +120,41 @@ def _modes(args, scenario) -> list:
     return ["cold", "hot"] if mode == "both" else [mode]
 
 
-@contextlib.contextmanager
-def _out_stream(args):
-    if not args.out:
-        yield sys.stdout
-        return
+def _write(args, text) -> int:
+    """Write the finished output to --out, or to stdout.
+
+    A closed pipe (`| head`) drops the rest quietly; any other failure
+    is a ConfigurationError.  After a failure stdout points at devnull,
+    so the flush at interpreter exit cannot fail again.
+    """
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write --out {args.out}: {exc}") from None
+        return 0
     try:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        raise ConfigurationError(f"cannot write --out {args.out}: {exc}") from None
-    with fh:
-        yield fh
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise ConfigurationError(f"cannot write stdout: {exc}") from None
+    return 0
 
 
 def _write_json(args, doc) -> int:
-    with _out_stream(args) as fh:
-        fh.write(json.dumps(_jsonable(doc), indent=2))
-        fh.write("\n")
-    return 0
+    return _write(args, json.dumps(_jsonable(doc), indent=2) + "\n")
 
 
 def _emit(args, columns, rows):
     """Write rows (list of dicts) as CSV or JSON with %.12g formatting."""
     if args.format == "json":
         return _write_json(args, [{k: r.get(k) for k in columns} for r in rows])
-    with _out_stream(args) as fh:
-        fh.write(",".join(columns) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r.get(k)) for k in columns) + "\n")
-    return 0
+    lines = [",".join(columns)] + [
+        ",".join(_fmt(r.get(k)) for k in columns) for r in rows]
+    return _write(args, "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------- spectrum
@@ -169,9 +171,9 @@ def cmd_spectrum(args) -> int:
     else:
         vd_list = [cfg.medium.v_doppler]
 
+    names = ("chi_e", "chi_m", "xi_eh", "xi_he")  # resp.components() order
     columns = ["delta_p", "mode", "v_doppler",
-               "re_chi_e", "im_chi_e", "re_chi_m", "im_chi_m",
-               "re_xi_eh", "im_xi_eh", "re_xi_he", "im_xi_he",
+               *(f"{part}_{name}" for name in names for part in ("re", "im")),
                "n_r", "n_g"]
     rows = []
     for mode in modes:
@@ -182,15 +184,12 @@ def cmd_spectrum(args) -> int:
             c = with_overrides(cfg, medium={"v_doppler": float(vd)})
             curve, resp = optics.group_index_curve(
                 c, grid, mode=mode, return_response=True)
-            for i, d in enumerate(np.atleast_1d(grid)):
-                rows.append({
-                    "delta_p": float(d), "mode": mode, "v_doppler": float(vd),
-                    "re_chi_e": resp.chi_e[i].real, "im_chi_e": resp.chi_e[i].imag,
-                    "re_chi_m": resp.chi_m[i].real, "im_chi_m": resp.chi_m[i].imag,
-                    "re_xi_eh": resp.xi_eh[i].real, "im_xi_eh": resp.xi_eh[i].imag,
-                    "re_xi_he": resp.xi_he[i].real, "im_xi_he": resp.xi_he[i].imag,
-                    "n_r": curve.n_r[i], "n_g": curve.N_g[i],
-                })
+            cols = {"n_r": curve.n_r, "n_g": curve.N_g}
+            for name, comp in zip(names, resp.components()):
+                cols["re_" + name], cols["im_" + name] = comp.real, comp.imag
+            for i, d in enumerate(grid):
+                rows.append({"delta_p": float(d), "mode": mode, "v_doppler": float(vd),
+                             **{k: v[i] for k, v in cols.items()}})
     return _emit(args, columns, rows)
 
 
@@ -208,15 +207,13 @@ def cmd_delay(args) -> int:
         omega3s = [cfg.system.omega_3]
 
     base = scenario.name if scenario is not None else "config"
-    scenarios, meta = [], []
+    scenarios = []
     for o3 in omega3s:
         c = with_overrides(cfg, system={"omega_3": float(o3)})
-        for mode in modes:
-            scenarios.append((f"{base}:omega3={o3:g}", c, mode))
-            meta.append(float(o3))
+        scenarios.extend((f"{base}:omega3={o3:g}", c, mode) for mode in modes)
     rows = optics.delay_table(scenarios)
-    for row, o3 in zip(rows, meta):
-        row["omega_3"] = o3
+    for row, (_, c, _) in zip(rows, scenarios):
+        row["omega_3"] = c.system.omega_3
     columns = ["scenario", "omega_3", "mode", "n_g", "v_g", "tau_ns", "error"]
     return _emit(args, columns, rows)
 
@@ -312,6 +309,7 @@ def cmd_calibrate(args) -> int:
         delta_p = cfg.system.delta_p
     lo, hi = parse_pair(args.bracket, "--bracket")
 
+    @functools.cache  # brentq evaluates both ends again
     def gap(kappa):
         c = with_overrides(cfg, medium={"density_coupling": float(kappa)})
         return optics.group_index_at(c, delta_p, mode=args.mode).N_g - args.target
@@ -477,12 +475,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_negative_values(argv))
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe (`| head`) raises here, not at exit
-        return code
-    except BrokenPipeError:  # the reader is gone: drop the rest quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

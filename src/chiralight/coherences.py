@@ -25,9 +25,9 @@ shifts, so a full (detuning grid) x (quadrature node) tensor can be
 solved in one batched call.
 
 The betas depend on the drive fields, detunings and decays only, never
-on the density coupling.  Inside :func:`reuse_betas` the response layer
-therefore solves each (system, kv, delta_p) input once and reuses the
-coefficients, which is what a root search over kappa_e needs.
+on the density coupling.  Within one :func:`reuse_betas` scope the
+response layer solves each (system, kv, delta_p) input once and reuses
+the coefficients, as a root search over kappa_e needs.
 """
 
 from __future__ import annotations
@@ -275,12 +275,9 @@ def reuse_betas():
 
     Each distinct (system, kv, delta_p) input is solved once by
     :func:`steady_betas`; a repeat returns the same coefficient object,
-    so results are bit-identical to solving again.  Nested scopes share
-    the outermost memo, which is dropped when that scope exits.
+    so results are bit-identical to solving again.  Each scope has its
+    own memo, dropped when the scope exits.
     """
-    if _memo.get() is not None:
-        yield
-        return
     token = _memo.set({})
     try:
         yield

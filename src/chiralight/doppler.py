@@ -163,18 +163,15 @@ def trapezoid_average(f, v_d: float, spec: QuadratureSpec):
     shifted nodes hit as well sits on the real axis and PoleInSupport
     is raised.
     """
-    try:
-        return _trapezoid_average(f, v_d, spec)
-    except SingularSystem:
-        pass
-    # Stagger the whole node set by an irrational-ish fraction of the
-    # panel width; only an exactly real-axis pole survives both grids.
-    try:
-        return _trapezoid_average(f, v_d, spec, shift=0.37 * v_d / spec.node_count)
-    except SingularSystem as exc:
-        raise PoleInSupport(
-            "response pole on the real velocity axis inside the "
-            f"integration window: {exc}") from exc
+    # the retry shifts every node by an irrational-ish fraction of a panel
+    for shift in (0.0, 0.37 * v_d / spec.node_count):
+        try:
+            return _trapezoid_average(f, v_d, spec, shift=shift)
+        except SingularSystem as exc:
+            error = exc
+    raise PoleInSupport(
+        "response pole on the real velocity axis inside the "
+        f"integration window: {error}") from error
 
 
 def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:

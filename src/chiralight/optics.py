@@ -21,6 +21,7 @@ tau = L*(N_g - 1)/c (negative = advance).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,13 @@ DERIVATIVE_RTOL = 0.01
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """Index and group quantities at one detuning (fields may be arrays).
+    """Index and group quantities at the caller's detuning(s).
 
-    n_complex is the full complex index before taking the real part;
-    n_r its real part.  v_g*N_g = c and tau = L*(N_g - 1)/c hold by
-    construction.
+    Fields are scalars at one detuning, arrays shaped like the grid on
+    a curve.  n_complex is the full complex index before taking the real
+    part; n_r its real part.  v_g*N_g = c and tau = L*(N_g - 1)/c hold.
     """
 
-    delta_p: object
     n_complex: object
     n_r: object
     N_g: object
@@ -176,8 +176,8 @@ def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
     with np.errstate(divide="ignore"):
         v_g = C_LIGHT / n_g
     tau = cfg.medium.length_L * (n_g - 1.0) / C_LIGHT
-    curve = DispersionPoint(delta_p=grid, n_complex=n_c, n_r=np.real(n_c),
-                            N_g=n_g, v_g=v_g, tau=tau)
+    curve = DispersionPoint(n_complex=n_c, n_r=np.real(n_c), N_g=n_g,
+                            v_g=v_g, tau=tau)
     if return_response:
         return curve, response_mod.OpticalResponse(
             *(np.asarray(c)[inverse[:, 2]] for c in resp.components()))
@@ -236,6 +236,7 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
     if not (np.isfinite(xtol) and xtol > 0):
         raise NonPositiveTolerance(f"xtol must be finite and > 0, got {xtol!r}")
 
+    @functools.cache  # brentq evaluates both ends again
     def gap(o3):
         c = with_overrides(cfg, system={"omega_3": float(o3)})
         return (group_index_at(c, c.system.delta_p, mode="cold").N_g

@@ -61,30 +61,18 @@ _SUPERLUMINAL = dict(
 )
 
 
-def _sub(**over):
-    d = dict(_SUBLUMINAL)
-    d.update(over)
-    return d
-
-
-def _sup(**over):
-    d = dict(_SUPERLUMINAL)
-    d.update(over)
-    return d
-
-
 CATALOG = {
     "fig2a": Scenario(
         name="fig2a",
         note="subluminal family, omega_3 = 0.7 (susceptibility spectra)",
-        system=_sub(),
+        system=dict(_SUBLUMINAL),
         medium=dict(v_doppler=0.5),
         mode="cold",
     ),
     "fig2b": Scenario(
         name="fig2b",
         note="subluminal family, omega_3 = 1.0 (susceptibility spectra)",
-        system=_sub(omega_3=1.0),
+        system=dict(_SUBLUMINAL, omega_3=1.0),
         medium=dict(v_doppler=0.5),
         mode="cold",
     ),
@@ -92,28 +80,28 @@ CATALOG = {
         name="fig2e",
         note="subluminal family, strong omega_2 = 4 drive, narrow thermal "
              "width 0.1 (vanishing electric absorption at resonance)",
-        system=_sub(omega_2=4.0),
+        system=dict(_SUBLUMINAL, omega_2=4.0),
         medium=dict(v_doppler=0.1),
         mode="cold",
     ),
     "fig4a": Scenario(
         name="fig4a",
         note="superluminal family, omega_3 = 1.5 (susceptibility spectra)",
-        system=_sup(),
+        system=dict(_SUPERLUMINAL),
         medium=dict(v_doppler=1.5),
         mode="cold",
     ),
     "fig4b": Scenario(
         name="fig4b",
         note="superluminal family, omega_3 = 5.0 (susceptibility spectra)",
-        system=_sup(omega_3=5.0),
+        system=dict(_SUPERLUMINAL, omega_3=5.0),
         medium=dict(v_doppler=1.5),
         mode="cold",
     ),
     "fig6": Scenario(
         name="fig6",
         note="subluminal family with omega_2 = 4, thermal-width stepping",
-        system=_sub(omega_2=4.0),
+        system=dict(_SUBLUMINAL, omega_2=4.0),
         medium=dict(v_doppler=0.1),
         mode="hot",
         vd_list=(0.0, 0.1, 0.2, 0.3),
@@ -122,21 +110,21 @@ CATALOG = {
         name="fig7a",
         note="superluminal family, omega_3 = 1.5, group index vs detuning "
              "(6 cm cell)",
-        system=_sup(),
+        system=dict(_SUPERLUMINAL),
         medium=dict(v_doppler=1.5),
     ),
     "fig7b": Scenario(
         name="fig7b",
         note="superluminal family, omega_3 = 5.0, group index vs detuning "
              "(6 cm cell)",
-        system=_sup(omega_3=5.0),
+        system=dict(_SUPERLUMINAL, omega_3=5.0),
         medium=dict(v_doppler=1.5),
     ),
     "fig7e": Scenario(
         name="fig7e",
         note="superluminal family at zero probe detuning, group index and "
              "velocity vs omega_3",
-        system=_sup(),
+        system=dict(_SUPERLUMINAL),
         medium=dict(v_doppler=1.5),
         omega3_list=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
     ),
@@ -144,7 +132,7 @@ CATALOG = {
         name="fig8ab",
         note="pulse propagation, subluminal family constants "
              "(delay without reshaping)",
-        system=_sub(),
+        system=dict(_SUBLUMINAL),
         medium=dict(v_doppler=0.5),
         pulse_constants={
             "cold": {"n_0": 1415.65, "g_vd": 759.44},
@@ -155,7 +143,7 @@ CATALOG = {
         name="fig8cd",
         note="pulse propagation, superluminal family constants "
              "(advancement without reshaping)",
-        system=_sup(),
+        system=dict(_SUPERLUMINAL),
         medium=dict(v_doppler=1.5),
         pulse_constants={
             "cold": {"n_0": -2023.81, "g_vd": -9006.67},

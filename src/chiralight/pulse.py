@@ -77,18 +77,14 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class PulseTrace:
-    """Sampled complex envelope in one domain.
+    """Sampled complex envelope on its grid.
 
-    grid holds t (seconds) for domain "time" or nu = omega - omega_0
-    (rad/s) for domain "frequency"; n_0/g_vd record the dispersion
-    coefficients the trace was produced with (None for inputs).
+    grid holds t (seconds) for a time-domain envelope or
+    nu = omega - omega_0 (rad/s) for a spectrum.
     """
 
-    domain: str
     grid: object
     samples: object
-    n_0: object = None
-    g_vd: object = None
 
 
 def time_grid(ps: PulseSpec, expected_peaks=(0.0,)) -> np.ndarray:
@@ -129,7 +125,7 @@ def idft(t: np.ndarray, nu: np.ndarray, spec: np.ndarray) -> np.ndarray:
 def input_envelope(ps: PulseSpec, t) -> PulseTrace:
     """Gaussian input envelope exp(-t^2/tau_0^2) exp(i delta t) on t."""
     samples = np.exp(-(t / ps.tau_0) ** 2) * np.exp(1j * ps.delta * t)
-    return PulseTrace(domain="time", grid=t, samples=samples)
+    return PulseTrace(grid=t, samples=samples)
 
 
 def input_spectrum(ps: PulseSpec, nu) -> PulseTrace:
@@ -145,7 +141,7 @@ def input_spectrum(ps: PulseSpec, nu) -> PulseTrace:
         raise WindowTooNarrow(
             f"input spectrum truncated at {edge / np.max(np.abs(samples)):.3e} "
             "of peak at the window edge")
-    return PulseTrace(domain="frequency", grid=nu, samples=samples)
+    return PulseTrace(grid=nu, samples=samples)
 
 
 def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold") -> dict:
@@ -197,7 +193,7 @@ def propagate_analytic(ps: PulseSpec, n_0: float, g_vd: float, L: float,
     samples = (ps.tau_0 / np.sqrt(denom)
                * np.exp(1j * ps.delta * (t - T0) - 0.5j * beta * ps.delta ** 2)
                * np.exp(-((t - Tg) ** 2) / denom))
-    return PulseTrace(domain="time", grid=t, samples=samples, n_0=n_0, g_vd=g_vd)
+    return PulseTrace(grid=t, samples=samples)
 
 
 def propagate_numeric(ps: PulseSpec, k_rel, L: float, t=None) -> PulseTrace:
@@ -218,7 +214,7 @@ def propagate_numeric(ps: PulseSpec, k_rel, L: float, t=None) -> PulseTrace:
     spec_out = spec_in * np.exp(-1j * np.asarray(k_rel(nu)) * L)
     samples = idft(t, nu, spec_out)
     _check_wraparound(samples)
-    return PulseTrace(domain="time", grid=t, samples=samples)
+    return PulseTrace(grid=t, samples=samples)
 
 
 def _check_wraparound(samples):
@@ -245,8 +241,7 @@ def output_spectrum(ps: PulseSpec, n_0: float, g_vd: float, L: float,
     phase = (n_0 * nu + 0.5 * C_LIGHT * g_vd * nu ** 2) * L / C_LIGHT
     samples = (prefactor * np.exp(-((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
                * np.exp(-1j * phase))
-    return PulseTrace(domain="frequency", grid=nu, samples=samples,
-                      n_0=n_0, g_vd=g_vd)
+    return PulseTrace(grid=nu, samples=samples)
 
 
 def normalized(samples) -> np.ndarray:

@@ -507,6 +507,26 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert "cannot write --out" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, target", [
+    (("spectrum", "--preset", "fig2a", "--grid", "-1:1:5", "--out", "/dev/full"),
+     "--out /dev/full"),
+    (("preset-dump", "--out", "/dev/full"), "--out /dev/full"),
+    (("preset-dump",), "stdout"),  # `chiralight preset-dump > /dev/full`
+])
+def test_full_device_exits_2_without_traceback(argv, target):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(chiralight.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "chiralight.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith(
+        f"configuration error: ConfigurationError: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_zero_prints_as_zero(tmp_path, capsys):
     assert _fmt(-0.0) == _fmt(np.float64(-0.0)) == "0"
     assert json.dumps(_jsonable({"a": [-0.0, np.float64(-0.0)]})) == '{"a": [0.0, 0.0]}'

@@ -1,4 +1,5 @@
-"""Byte-identity guard on the fast README commands and one small hot run.
+"""Byte-identity guard on the fast README commands, one small hot run and
+the JSON, all-preset, computed-constants and one-point-grid output routes.
 
 Each command runs in-process through ``cli.main``; the test asserts
 exit 0 and the SHA-256 of everything it wrote to stdout.  A refactor
@@ -37,6 +38,16 @@ GOLDEN = {
         "7f295caa3b3bdb15e71c0224340f257a09cd48dfe3cfa7af720eb8d528889db1",
     "preset-dump fig2":
         "78b52a251fa1cd520e0f99ebe98bbabfe599ce876d062e76462fea66bb9d387a",
+    "spectrum --preset fig2a --grid -1:1:5 --format json":
+        "012ab38f6efccc9ff6f4a357e53bc367c34c5dab1027a572935a633f5c671405",
+    "delay --preset fig7 --omega3 0.7,1,1.5,5 --mode both --format json":
+        "986c28eefdbbcc0a4af708d49ab6af04e3fe233e1f50932842ccbaf9bf93dafa",
+    "preset-dump":
+        "55731dece43ae94b8d6d86836faa59dd6648ea08e7db1631499b2c3206d7bb34",
+    "pulse --preset fig2a":
+        "98b93050cebdf96f43908b48bf71b3cd90cefa5a245613cb644adcb633ae2bb7",
+    "spectrum --preset fig2a --grid 0.3:5:1":
+        "2b71f1617d184e8decede677e83987b7364d9583d346e6fb0f9823cfd98e215a",
 }
 
 

@@ -137,12 +137,25 @@ def test_gauss_hermite_falls_back_to_adaptive():
     assert got.real == pytest.approx(LORENTZ_AVG, rel=1e-6)
 
 
+def test_staggered_trapezoid_retry_steps_over_a_node():
+    """A singular point on the unshifted trapezoid grid (kv = 0 is one of
+    its 65 nodes) is stepped over by the staggered retry."""
+    def f(kv):
+        if np.any(np.abs(kv) > 4.5) or np.any(kv == 0.0):
+            raise errors.SingularSystem("singular node")
+        return (1.0 / (1.0 + 1j * kv),)
+
+    (got,) = doppler_average(f, 1.0)
+    assert got.real == pytest.approx(LORENTZ_AVG, rel=1e-6)
+
+
 def test_pole_in_support_after_all_fallbacks():
     def f(kv):
         raise errors.SingularSystem("pole pinned to the real axis")
 
-    with pytest.raises(errors.PoleInSupport):
+    with pytest.raises(errors.PoleInSupport) as info:
         doppler_average(f, 1.0)
+    assert isinstance(info.value.__cause__, errors.SingularSystem)
 
 
 def test_quadrature_not_converged():

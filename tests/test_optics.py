@@ -218,7 +218,7 @@ def _plant_group_indices(monkeypatch, cold, hot):
     """Replace the group index by cold(omega_3) / hot(omega_3)."""
     def fake(cfg, delta_p, mode="cold"):
         ng = (cold if mode == "cold" else hot)(cfg.system.omega_3)
-        return optics.DispersionPoint(delta_p, ng, ng, ng, C_LIGHT / ng, 0.0)
+        return optics.DispersionPoint(ng, ng, ng, C_LIGHT / ng, 0.0)
     monkeypatch.setattr(optics, "group_index_at", fake)
 
 
@@ -226,6 +226,19 @@ def test_planted_crossover_located(monkeypatch):
     _plant_group_indices(monkeypatch, lambda o3: 3.0 - o3, lambda o3: 1.0)
     root = optics.superluminal_crossover(presets.get("fig2a").config(), 1.5, 5.0)
     assert root == pytest.approx(2.0, abs=1e-3)
+
+
+def test_crossover_evaluates_each_point_once(monkeypatch):
+    _plant_group_indices(monkeypatch, lambda o3: 3.0 - o3, lambda o3: 1.0)
+    planted, calls = optics.group_index_at, []
+
+    def counted(cfg, delta_p, mode="cold"):
+        calls.append((mode, cfg.system.omega_3))
+        return planted(cfg, delta_p, mode=mode)
+
+    monkeypatch.setattr(optics, "group_index_at", counted)
+    optics.superluminal_crossover(presets.get("fig2a").config(), 1.5, 5.0)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_no_crossover_in_range_raises(monkeypatch):

@@ -215,7 +215,7 @@ def test_flat_traces_are_rejected():
         pulse.normalized(np.zeros(8))
     ps = pulse.PulseSpec()
     t = pulse.time_grid(ps)
-    flat = pulse.PulseTrace(domain="time", grid=t, samples=np.ones_like(t))
+    flat = pulse.PulseTrace(grid=t, samples=np.ones_like(t))
     with pytest.raises(FlatTrace):
         pulse.pulse_metrics(flat, flat)
 

@@ -202,8 +202,7 @@ def test_changed_control_field_misses_the_memo(steady_calls):
 def test_memo_dropped_when_scope_exits():
     cfg = _fig8ab()
     with coherences.reuse_betas():
-        with coherences.reuse_betas():  # nested scopes share one memo
-            response_at(cfg, 0.0, delta_p=[0.0, 0.1])
+        response_at(cfg, 0.0, delta_p=[0.0, 0.1])
         assert len(coherences._memo.get()) == 1
     assert coherences._memo.get() is None
     with pytest.raises(RuntimeError):
