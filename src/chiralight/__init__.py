@@ -16,7 +16,7 @@ params       validated system/medium parameter sets, JSON config I/O
 coherences   steady-state coherence solve and closed-form coefficients
 response     susceptibilities and chirality coefficients
 doppler      thermal (Maxwell-Boltzmann) velocity averaging
-optics       refractive/group index, delays, slow-fast crossover
+optics       refractive/group index, delays, crossover, calibration
 pulse        Gaussian pulse spectra, dispersion, propagation, metrics
 presets      named parameter sets for the documented scenarios
 cli          command-line front end (`chiralight`)
@@ -27,8 +27,8 @@ from .coherences import (CoherenceCoefficients, DenominatorTerms,
                          denominator_terms, shift_detunings, solve_steady_state,
                          steady_betas)
 from .errors import ChiralightError, ConfigurationError, NumericalError
-from .optics import (DispersionPoint, delay_table, group_index_at,
-                     group_index_curve, refractive_index,
+from .optics import (DispersionPoint, calibrate_coupling, delay_table,
+                     group_index_at, group_index_curve, refractive_index,
                      superluminal_crossover)
 from .params import (MediumParams, SystemParams, ValidatedConfig,
                      derived_couplings, load_config, validate, with_overrides)
@@ -48,8 +48,8 @@ __all__ = [
     "steady_betas", "closed_form_betas",
     "OpticalResponse", "response_at", "spectrum",
     "QuadratureSpec", "doppler_average", "hot_response",
-    "DispersionPoint", "refractive_index", "group_index_curve",
-    "group_index_at", "delay_table", "superluminal_crossover",
+    "DispersionPoint", "refractive_index", "group_index_curve", "group_index_at",
+    "delay_table", "superluminal_crossover", "calibrate_coupling",
     "PulseSpec", "PulseTrace", "dispersion_coefficients",
     "propagate_analytic", "propagate_numeric", "pulse_metrics",
     "__version__",

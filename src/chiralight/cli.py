@@ -17,18 +17,16 @@ error (every violation is listed), 3 numerical failure (named).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import coherences, optics, presets
+from . import optics, presets
 from . import pulse as pulse_mod
-from .errors import ConfigurationError, NoRootInBracket, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .params import (C_LIGHT, MediumParams, SystemParams, load_config,
                      to_dict, validate, with_overrides)
 
@@ -127,7 +125,7 @@ def _write(args, text) -> int:
     is a ConfigurationError.  After a failure stdout points at devnull,
     so the flush at interpreter exit cannot fail again.
     """
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -279,17 +277,14 @@ def cmd_pulse(args) -> int:
             rows.append({"section": section, "x": x[i],
                          **{k: c[i] for k, c in zip(keys, cols)}})
 
-    metric_rows = {name: {"section": "metric", "x": name, "input": None}
-                   for name in ("peak_shift_ns", "width_ratio", "distortion",
-                                "n_0", "g_vd_si")}
+    metric_rows = [{"section": "metric", "x": name, "input": None} for name in
+                   ("peak_shift_ns", "width_ratio", "distortion", "n_0", "g_vd_si")]
     for (label, n_0, g_vd), trace in zip(series, outputs):
         m = pulse_mod.pulse_metrics(trace_in, trace)
-        metric_rows["peak_shift_ns"][label] = m["peak_shift"] * 1e9
-        metric_rows["width_ratio"][label] = m["width_ratio"]
-        metric_rows["distortion"][label] = m["distortion"]
-        metric_rows["n_0"][label] = n_0
-        metric_rows["g_vd_si"][label] = g_vd
-    rows.extend(metric_rows.values())
+        values = (m["peak_shift"] * 1e9, m["width_ratio"], m["distortion"], n_0, g_vd)
+        for row, value in zip(metric_rows, values):
+            row[label] = value
+    rows.extend(metric_rows)
     return _emit(args, ["section", "x"] + keys, rows)
 
 
@@ -308,23 +303,8 @@ def cmd_calibrate(args) -> int:
     else:
         delta_p = cfg.system.delta_p
     lo, hi = parse_pair(args.bracket, "--bracket")
-
-    @functools.cache  # brentq evaluates both ends again
-    def gap(kappa):
-        c = with_overrides(cfg, medium={"density_coupling": float(kappa)})
-        return optics.group_index_at(c, delta_p, mode=args.mode).N_g - args.target
-
-    # the betas do not depend on kappa_e: solve each stencil input once
-    with coherences.reuse_betas():
-        g_lo, g_hi = gap(lo), gap(hi)
-        if np.sign(g_lo) == np.sign(g_hi):
-            raise NoRootInBracket(
-                f"N_g({lo:g}) - target = {g_lo:.6g} and N_g({hi:g}) - target = "
-                f"{g_hi:.6g} have the same sign; the target group index "
-                f"{args.target:g} is not reachable in this bracket")
-        kappa = float(brentq(gap, lo, hi, xtol=1e-30,
-                             rtol=4 * np.finfo(float).eps))
-        achieved = gap(kappa) + args.target
+    kappa, achieved = optics.calibrate_coupling(cfg, args.target, delta_p,
+                                                lo, hi, mode=args.mode)
     calibrated = with_overrides(cfg, medium={"density_coupling": kappa})
     return _write_json(args, {
         "calibration": {
@@ -351,10 +331,7 @@ def cmd_preset_dump(args) -> int:
             wanted.extend(presets.FIGURE_GROUPS[name])
         else:
             wanted.append(name)
-    records = {}
-    for name in wanted:
-        rec = presets.dump(name)
-        records[rec["name"]] = rec
+    records = {rec["name"]: rec for rec in map(presets.dump, wanted)}
     payload = records[next(iter(records))] if len(records) == 1 else records
     return _write_json(args, payload)
 

@@ -28,7 +28,8 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from . import response as response_mod
-from .errors import PoleInSupport, QuadratureNotConverged, SingularSystem
+from .errors import (CouplingOverflow, PoleInSupport, QuadratureNotConverged,
+                     SingularSystem)
 from .params import ValidatedConfig
 
 # Below this Doppler width the weight is effectively a delta function
@@ -89,6 +90,9 @@ def _gauss_hermite_average(f, v_d, spec):
     n = spec.node_count
     while n <= spec.max_nodes:
         x, w = _hermite(n)
+        # the nodes are sorted and symmetric, so x[-1] is the largest
+        if not np.isfinite(v_d * float(x[-1])):
+            raise CouplingOverflow(f"Gauss-Hermite nodes overflow at v_d = {v_d:g}")
         vals = f(v_d * x)
         cur = np.array([(c * w).sum(axis=-1) for c in vals]) / np.sqrt(np.pi)
         floor = [(np.abs(c) * w).sum(axis=-1).max() / np.sqrt(np.pi) for c in vals]
@@ -191,9 +195,6 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
 
         def f(kv, _sub=sub):
             step = max(1, _BLOCK_BUDGET // kv.size)
-            if step >= _sub.size:  # one block: no copy
-                r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None])
-                return r.components()
             out = [np.empty((_sub.size, kv.size), dtype=complex) for _ in range(4)]
             for i in range(0, _sub.size, step):
                 r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[i:i + step, None])

@@ -68,8 +68,8 @@ class DegenerateMagnetic(NumericalError):
 
 class CouplingOverflow(NumericalError):
     """A coupling or detuning product exceeds the double-precision
-    range (kappa_x^2, or the steady-state matrix at huge detunings or
-    fields)."""
+    range (kappa_x^2, the Doppler nodes at a huge thermal width, or
+    the steady-state matrix at huge detunings or fields)."""
 
 
 class PoleInSupport(NumericalError):

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import response as response_mod
+from . import coherences, response as response_mod
 from .errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
-                     NonPositiveTolerance, NumericalError)
+                     NonPositiveTolerance, NoRootInBracket, NumericalError)
 from .params import C_LIGHT, ValidatedConfig, with_overrides
 
 # |n_{i+1} - n_i| above this along a spectrum means the branch tracker
@@ -225,6 +225,16 @@ def delay_table(scenarios) -> list:
     return rows
 
 
+def _bracketed_root(gap, lo, hi, no_root, **tol):
+    """brentq root of gap on [lo, hi] and the cached gap (each point is
+    evaluated once); raises no_root(g_lo, g_hi) if the ends share a sign."""
+    gap = functools.cache(gap)  # brentq evaluates both ends again
+    g_lo, g_hi = gap(lo), gap(hi)
+    if np.sign(g_lo) == np.sign(g_hi):
+        raise no_root(g_lo, g_hi)
+    return float(brentq(gap, lo, hi, **tol)), gap
+
+
 def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
                            omega3_hi: float, xtol: float = 1.0e-3) -> float:
     """Control-field strength where cold and hot group indices cross.
@@ -236,19 +246,41 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
     if not (np.isfinite(xtol) and xtol > 0):
         raise NonPositiveTolerance(f"xtol must be finite and > 0, got {xtol!r}")
 
-    @functools.cache  # brentq evaluates both ends again
     def gap(o3):
         c = with_overrides(cfg, system={"omega_3": float(o3)})
         return (group_index_at(c, c.system.delta_p, mode="cold").N_g
                 - group_index_at(c, c.system.delta_p, mode="hot").N_g)
 
-    g_lo, g_hi = gap(omega3_lo), gap(omega3_hi)
-    if g_lo == 0 and g_hi == 0:
-        raise NoCrossoverInRange(
-            "hot and cold group indices are identical at both ends of "
-            f"[{omega3_lo:g}, {omega3_hi:g}] (zero thermal width?)")
-    if np.sign(g_lo) == np.sign(g_hi):
-        raise NoCrossoverInRange(
+    def no_root(g_lo, g_hi):
+        if g_lo == 0 and g_hi == 0:
+            return NoCrossoverInRange(
+                "hot and cold group indices are identical at both ends of "
+                f"[{omega3_lo:g}, {omega3_hi:g}] (zero thermal width?)")
+        return NoCrossoverInRange(
             f"N_g_cold - N_g_hot has the same sign ({g_lo:.3g}, {g_hi:.3g}) "
             f"at both ends of [{omega3_lo:g}, {omega3_hi:g}]")
-    return float(brentq(gap, omega3_lo, omega3_hi, xtol=xtol))
+
+    return _bracketed_root(gap, omega3_lo, omega3_hi, no_root, xtol=xtol)[0]
+
+
+def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
+                       lo: float, hi: float, mode: str = "cold"):
+    """(kappa_e, achieved N_g) for N_g(delta_p) = target, kappa_e in [lo, hi].
+
+    Raises NoRootInBracket unless N_g - target changes sign over the bracket.
+    """
+    def gap(kappa):
+        c = with_overrides(cfg, medium={"density_coupling": float(kappa)})
+        return group_index_at(c, delta_p, mode=mode).N_g - target
+
+    def no_root(g_lo, g_hi):
+        return NoRootInBracket(
+            f"N_g({lo:g}) - target = {g_lo:.6g} and N_g({hi:g}) - target = "
+            f"{g_hi:.6g} have the same sign; the target group index "
+            f"{target:g} is not reachable in this bracket")
+
+    # the betas do not depend on kappa_e: solve each stencil input once
+    with coherences.reuse_betas():
+        kappa, gap = _bracketed_root(gap, lo, hi, no_root, xtol=1e-30,
+                                     rtol=4 * np.finfo(float).eps)
+        return kappa, gap(kappa) + target

@@ -3,8 +3,9 @@
 Every test evaluates one criterion, records a PASS/FAIL line through
 the ``record`` fixture (printed under "acceptance criteria" in the
 terminal summary) and then asserts on it, so a failing criterion is a
-failing test.  The two density-coupling calibrations are solved once
-at module scope and shared.
+failing test.  The two density-coupling calibrations go through the
+production route, ``optics.calibrate_coupling``, once each at module
+scope, and are shared.
 
 Criterion 7 carries quoted group-index values that the calibrated
 model does not reproduce; its acceptance path is the discrepancy
@@ -18,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from chiralight import coherences, doppler, optics, presets, pulse, response
 from chiralight.doppler import QuadratureSpec
@@ -48,11 +48,7 @@ def _ng(cfg, mode, omega3=None, kappa=None, v_doppler=None):
 def _calibrated_kappa(preset_name, target):
     """Density coupling reproducing the quoted cold group index."""
     cfg = presets.get(preset_name).config()
-
-    def gap(kappa):
-        return _ng(cfg, "cold", kappa=kappa) - target
-
-    return float(brentq(gap, 1e-6, 30.0, xtol=1e-30, rtol=1e-15))
+    return optics.calibrate_coupling(cfg, target, 0.0, 1e-6, 30.0)[0]
 
 
 def _components_rel(a, b):

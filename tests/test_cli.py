@@ -455,11 +455,16 @@ def test_overflowing_detuning_grid_exits_3_without_warnings(capsys):
     (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"),
      {"system": {"omega_2": 1e200}}),
     (("crossover", "--preset", "fig7"), {"system": {"omega_2": 1e200}}),
-], ids=["hot-v_doppler", "hot-omega_2", "crossover-omega_2"])
+    (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"),
+     {"medium": {"v_doppler": 1e308}}),
+    (("spectrum", "--preset", "fig6", "--vd", "1e308", "--grid", "-1:1:3"), {}),
+], ids=["hot-v_doppler", "hot-omega_2", "crossover-omega_2",
+        "hot-v_doppler-nodes", "vd-sweep-nodes"])
 def test_overflow_in_hot_average_is_not_a_pole(tmp_path, capsys, argv, doc):
-    # overflowing Doppler nodes or fields are no real-axis pole: the
-    # average must neither fall back to the trapezoid rule nor report
-    # PoleInSupport, and the cold half of crossover names the same error
+    # overflowing Doppler nodes (v_doppler 1e308 times a node > 1) or
+    # fields are no real-axis pole: the average must neither fall back to
+    # the trapezoid rule nor report PoleInSupport, and the cold half of
+    # crossover names the same error
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
@@ -498,11 +503,13 @@ def test_out_of_memory_is_a_named_numerical_failure(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("spectrum", "--preset", "fig2a", "--grid", "-1:1:5"),
-    ("preset-dump", "fig2a"),
+    ("spectrum", "--preset", "fig2a", "--grid", "-1:1:5", "--out", None),
+    ("preset-dump", "fig2a", "--out", None),
+    ("preset-dump", "fig2a", "--out", ""),  # an empty path is a path, not "no --out"
 ])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv):
-    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    # None stands for a directory, which cannot be opened for writing
+    code, out, err = run(capsys, *(str(tmp_path) if a is None else a for a in argv))
     _assert_named_config_error(code, out, err, "ConfigurationError")
     assert "cannot write --out" in err
 

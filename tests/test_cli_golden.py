@@ -1,5 +1,6 @@
-"""Byte-identity guard on the fast README commands, one small hot run and
-the JSON, all-preset, computed-constants and one-point-grid output routes.
+"""Byte-identity guard on the fast README commands, one small hot run, a
+small thermal-width sweep (its v_d = 0 series included) and the JSON,
+all-preset, computed-constants and one-point-grid output routes.
 
 Each command runs in-process through ``cli.main``; the test asserts
 exit 0 and the SHA-256 of everything it wrote to stdout.  A refactor
@@ -48,6 +49,8 @@ GOLDEN = {
         "98b93050cebdf96f43908b48bf71b3cd90cefa5a245613cb644adcb633ae2bb7",
     "spectrum --preset fig2a --grid 0.3:5:1":
         "2b71f1617d184e8decede677e83987b7364d9583d346e6fb0f9823cfd98e215a",
+    "spectrum --preset fig6 --vd 0,0.1 --grid -1:1:5":
+        "38081f602406e93e731d8ffc9ed207fbb2c461935d0ce67deebefaa5d324efe9",
 }
 
 

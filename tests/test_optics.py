@@ -6,12 +6,17 @@ configurations then cover the sign conventions (subluminal delay vs
 superluminal advance) end to end.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from chiralight import optics, presets
 from chiralight import response as response_mod
-from chiralight.errors import BranchJump, GridTooCoarse, NoCrossoverInRange
+from chiralight.cli import main
+from chiralight.errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
+                               NoRootInBracket)
 from chiralight.params import C_LIGHT, with_overrides
 from chiralight.response import OpticalResponse
 
@@ -245,3 +250,43 @@ def test_no_crossover_in_range_raises(monkeypatch):
     _plant_group_indices(monkeypatch, lambda o3: 2.0, lambda o3: 1.0)
     with pytest.raises(NoCrossoverInRange, match="same sign"):
         optics.superluminal_crossover(presets.get("fig2a").config(), 0.1, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# density-coupling calibration
+
+
+@pytest.mark.parametrize("argv, delta_p, mode", [
+    (("--target", "1415.65"), None, "cold"),
+    (("--target", "1618.15", "--mode", "hot", "--quantity", "n_0"), 0.0, "hot"),
+], ids=["cold-N_g", "hot-n_0"])
+def test_calibration_equals_cli_bit_for_bit(capsys, argv, delta_p, mode):
+    assert main(["calibrate", "--preset", "fig8ab", *argv]) == 0
+    printed = json.loads(capsys.readouterr().out)["calibration"]
+    cfg = presets.get("fig8ab").config()
+    delta_p = cfg.system.delta_p if delta_p is None else delta_p
+    kappa, achieved = optics.calibrate_coupling(
+        cfg, printed["target_n_g"], delta_p, 1e-8, 1e4, mode=mode)
+    assert (kappa, achieved) == (printed["kappa_e"], printed["achieved_n_g"])
+
+
+def test_calibration_evaluates_each_coupling_once(monkeypatch):
+    real, calls = optics.group_index_at, []
+
+    def counted(cfg, delta_p, mode="cold"):
+        calls.append(cfg.medium.density_coupling)
+        return real(cfg, delta_p, mode=mode)
+
+    monkeypatch.setattr(optics, "group_index_at", counted)
+    cfg = presets.get("fig8ab").config()
+    kappa, _ = optics.calibrate_coupling(cfg, 1415.65, 0.0, 1e-8, 1e4)
+    assert kappa in calls and len(calls) == len(set(calls))
+
+
+def test_unreachable_calibration_target_raises():
+    message = ("N_g(1e-08) - target = -1e+09 and N_g(10000) - target = "
+               "-9.99771e+08 have the same sign; the target group index "
+               "1e+09 is not reachable in this bracket")
+    with pytest.raises(NoRootInBracket, match=f"^{re.escape(message)}$"):
+        optics.calibrate_coupling(presets.get("fig8ab").config(), 1e9,
+                                  0.0, 1e-8, 1e4)
