@@ -81,6 +81,8 @@ def parse_pair(text: str, flag: str):
     except ValueError:
         raise ConfigurationError(
             f"bad {flag} {text!r}: endpoints must be numbers") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigurationError(f"bad {flag} {text!r}: endpoints must be finite")
     if not hi > lo:
         raise ConfigurationError(f"bad {flag} {text!r}: need hi > lo")
     return lo, hi

@@ -16,7 +16,8 @@ acceptance parameter sets, and the test suite checks that they do.
 Integrands return a sequence of component arrays (last axis = kv) and
 averages come back as a tuple.  Reductions use numpy's pairwise
 summation on nodes in a fixed order, so results are deterministic for
-a given QuadratureSpec.
+a given QuadratureSpec.  SciPy (the Gauss-Hermite nodes) is imported
+on the first hot average, so cold runs never load it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from . import response as response_mod
 from .errors import (CouplingOverflow, PoleInSupport, QuadratureNotConverged,
@@ -68,6 +68,7 @@ class QuadratureSpec:
 
 @functools.cache
 def _hermite(n: int):
+    from scipy.special import roots_hermite
     return roots_hermite(n)
 
 
@@ -110,6 +111,8 @@ def _trapezoid_average(f, v_d, spec, shift=0.0):
     midpoint reuse until two levels agree to rel_tol."""
     T = spec.truncation * v_d
     lo, hi = -T + shift, T + shift
+    if not np.isfinite(hi - lo):
+        raise CouplingOverflow(f"trapezoid window overflows at v_d = {v_d:g}")
 
     def weighted(kv):
         return np.stack(f(kv)) * np.exp(-(kv / v_d) ** 2)

@@ -16,7 +16,8 @@ the real part only at the end:
 
 with dn/dDelta_p from Richardson-extrapolated central differences.
 Group velocity and delay follow definitionally: v_g = c/N_g and
-tau = L*(N_g - 1)/c (negative = advance).
+tau = L*(N_g - 1)/c (negative = advance).  The crossover and the
+calibration import SciPy's brentq on their first root search.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import coherences, response as response_mod
 from .errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
@@ -228,6 +228,7 @@ def delay_table(scenarios) -> list:
 def _bracketed_root(gap, lo, hi, no_root, **tol):
     """brentq root of gap on [lo, hi] and the cached gap (each point is
     evaluated once); raises no_root(g_lo, g_hi) if the ends share a sign."""
+    from scipy.optimize import brentq
     gap = functools.cache(gap)  # brentq evaluates both ends again
     g_lo, g_hi = gap(lo), gap(hi)
     if np.sign(g_lo) == np.sign(g_hi):

@@ -418,6 +418,11 @@ def test_crossover_with_zero_thermal_width_names_identical_indices(tmp_path, cap
     (("spectrum", "--preset", "fig2a", "--grid", "0:nan:5"), "--grid"),
     (("spectrum", "--preset", "fig2a", "--grid", "0:inf:5"), "--grid"),
     (("spectrum", "--preset", "fig2a", "--grid", "-inf:0:5"), "--grid"),
+    (("calibrate", "--preset", "fig8ab", "--target", "1439.29",
+      "--bracket", "nan:1"), "--bracket"),
+    (("calibrate", "--preset", "fig8ab", "--target", "1439.29",
+      "--bracket", "1:inf"), "--bracket"),
+    (("crossover", "--preset", "fig7", "--omega3-range", "1:inf"), "--omega3-range"),
 ])
 def test_non_finite_argument_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

@@ -1,12 +1,13 @@
 """Maxwellian velocity averaging: quadratures, fallbacks, hot response."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chiralight import doppler, errors
+from chiralight import doppler, errors, presets
 from chiralight.doppler import (COLD_WIDTH, QuadratureSpec, doppler_average,
                                 hot_response, trapezoid_average)
 from chiralight.params import MediumParams, SystemParams, validate
@@ -156,6 +157,21 @@ def test_pole_in_support_after_all_fallbacks():
     with pytest.raises(errors.PoleInSupport) as info:
         doppler_average(f, 1.0)
     assert isinstance(info.value.__cause__, errors.SingularSystem)
+
+
+@pytest.mark.parametrize("v_d", [1e308, 3e307], ids=["half-window", "window"])
+def test_overflowing_trapezoid_window_raises_before_any_warning(v_d):
+    # 4 * 1e308 overflows the half-window itself, 2 * 4 * 3e307 only
+    # its width hi - lo; either must raise before numpy computes with inf
+    cfg = presets.get("fig4a").config()
+
+    def f(kv):
+        return response_at(cfg, kv[None, :], delta_p=np.zeros((1, 1))).components()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.CouplingOverflow, match="trapezoid window"):
+            trapezoid_average(f, v_d, QuadratureSpec())
 
 
 def test_quadrature_not_converged():
