@@ -189,7 +189,8 @@ def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
     """Raise unless M is well conditioned everywhere.
 
     SingularSystem where det M = 0 or the Frobenius condition number
-    exceeds COND_LIMIT; CouplingOverflow where the condition number is
+    exceeds COND_LIMIT (naming the shifted probe detuning at the worst
+    point); CouplingOverflow where the condition number is
     not finite although det M is not 0 (products of huge detunings or
     fields overflow).
     """
@@ -202,9 +203,12 @@ def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
         raise CouplingOverflow("steady-state matrix overflows at huge detunings or fields")
     if not finite.all():
         raise SingularSystem("steady-state matrix is singular (det M = 0)")
+    # Im a1 is the shifted probe detuning d_p
+    worst = np.argmax(cond)
+    d_p = float(np.broadcast_to(np.imag(dt.a1), np.shape(cond)).flat[worst])
     raise SingularSystem(
-        f"steady-state matrix condition number {float(np.max(cond)):.3e} exceeds "
-        f"{COND_LIMIT:.1e} (dark-state degeneracy?)")
+        f"steady-state matrix condition number {float(cond.flat[worst]):.3e} exceeds "
+        f"{COND_LIMIT:.1e} at shifted probe detuning d_p = {d_p:.6g}")
 
 
 def solve_steady_state(M) -> CoherenceCoefficients:

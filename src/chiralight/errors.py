@@ -72,11 +72,6 @@ class CouplingOverflow(NumericalError):
     the steady-state matrix at huge detunings or fields)."""
 
 
-class PoleInSupport(NumericalError):
-    """A response pole sits on the real velocity axis inside the
-    integration window."""
-
-
 class QuadratureNotConverged(NumericalError):
     """Velocity-average refinement exhausted its node budget before
     reaching the requested tolerance."""

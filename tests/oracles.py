@@ -6,6 +6,8 @@ arrays, not the structure the production path exploits.
 
 import numpy as np
 
+from chiralight.doppler import _rel_change
+from chiralight.errors import QuadratureNotConverged
 from chiralight.params import C_LIGHT
 from chiralight.pulse import normalized
 
@@ -29,6 +31,45 @@ def cond_frobenius(M):
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(det == 0, np.inf, norm_m * norm_adj / np.abs(det))
     return cond
+
+
+def trapezoid_average(f, v_d, *, truncation, rel_tol=1.0e-8, max_panels=16384):
+    """Adaptive-trapezoid Maxwellian average over [-truncation*v_d, +truncation*v_d].
+
+    Same integrand convention as ``doppler.doppler_average``.  Starts at
+    64 panels and doubles them, reusing the previous nodes, until two
+    levels agree to rel_tol under the same per-component measure as the
+    Gauss-Hermite refinement.
+    """
+    T = truncation * v_d
+    lo, hi = -T, T
+
+    def weighted(kv):
+        return np.stack(f(kv)) * np.exp(-(kv / v_d) ** 2)
+
+    n = 64
+    kv = np.linspace(lo, hi, n + 1)
+    g = weighted(kv)
+    h = (hi - lo) / n
+
+    def trap(arr):
+        return h * (arr[..., 1:-1].sum(axis=-1) + 0.5 * (arr[..., 0] + arr[..., -1]))
+
+    S, A = trap(g), trap(np.abs(g))
+    while n <= max_panels:
+        mids = lo + (np.arange(n) + 0.5) * h
+        gm = weighted(mids)
+        S_new = 0.5 * S + 0.5 * h * gm.sum(axis=-1)
+        A = 0.5 * A + 0.5 * h * np.abs(gm).sum(axis=-1)
+        n *= 2
+        h *= 0.5
+        norm = v_d * np.sqrt(np.pi)
+        floor = [c.max() / norm for c in A]
+        if _rel_change(S_new / norm, S / norm, floor) < rel_tol:
+            return tuple(S_new / norm)
+        S = S_new
+    raise QuadratureNotConverged(
+        f"adaptive trapezoid not converged to {rel_tol:g} within {max_panels} panels")
 
 
 def dft(t, samples):

@@ -24,7 +24,7 @@ from chiralight import coherences, doppler, optics, presets, pulse, response
 from chiralight.doppler import QuadratureSpec
 from chiralight.params import (C_LIGHT, MediumParams, SystemParams, validate,
                                with_overrides)
-from oracles import dft, l2_difference, quadratic_wavenumber
+from oracles import dft, l2_difference, quadratic_wavenumber, trapezoid_average
 
 DOCS = pathlib.Path(__file__).parent.parent / "docs"
 
@@ -124,8 +124,8 @@ def test_criterion_02_doppler_limit_and_dual_quadrature(record, subluminal_cfg):
             return response.response_at(subluminal_cfg, kv[None, :],
                                         delta_p=part[:, None]).components()
         gauss.append(doppler.doppler_average(f, v_d, QuadratureSpec(rel_tol=1e-10)))
-        trapezoid.append(doppler.trapezoid_average(
-            f, v_d, QuadratureSpec(truncation=6.0, rel_tol=1e-10, max_nodes=1 << 17)))
+        trapezoid.append(trapezoid_average(
+            f, v_d, truncation=6.0, rel_tol=1e-10, max_panels=1 << 17))
     rel_quad = _components_rel(
         response.OpticalResponse(*np.concatenate(gauss, axis=1)),
         response.OpticalResponse(*np.concatenate(trapezoid, axis=1)))

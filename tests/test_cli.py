@@ -467,9 +467,8 @@ def test_overflowing_detuning_grid_exits_3_without_warnings(capsys):
         "hot-v_doppler-nodes", "vd-sweep-nodes"])
 def test_overflow_in_hot_average_is_not_a_pole(tmp_path, capsys, argv, doc):
     # overflowing Doppler nodes (v_doppler 1e308 times a node > 1) or
-    # fields are no real-axis pole: the average must neither fall back to
-    # the trapezoid rule nor report PoleInSupport, and the cold half of
-    # crossover names the same error
+    # fields are no real-axis pole: the average reports the overflow
+    # itself, and the cold half of crossover names the same error
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
@@ -479,6 +478,41 @@ def test_overflow_in_hot_average_is_not_a_pole(tmp_path, capsys, argv, doc):
     assert err.startswith("numerical failure: CouplingOverflow:")
     assert len(err.splitlines()) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("v_doppler", [1e9, 1e11], ids=["1e9", "1e11"])
+def test_ill_conditioned_far_nodes_name_singular_system(tmp_path, capsys, v_doppler):
+    # at a huge thermal width the far Gauss-Hermite nodes push the
+    # steady-state matrix past its condition limit: the hot average
+    # fails with that error, not with a claimed pole on the real axis
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"medium": {"v_doppler": v_doppler}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "spectrum", "--preset", "fig2a", "--mode", "hot",
+                             "--grid", "-1:1:3", "--config", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: SingularSystem: steady-state matrix "
+                          "condition number")
+    assert "at shifted probe detuning d_p = " in err
+    assert len(err.splitlines()) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("v_doppler", [1e11, 1e12], ids=["1e11", "1e12"])
+def test_ill_conditioned_hot_delay_row_names_singular_system(tmp_path, capsys, v_doppler):
+    # (at 1e9 and 1e10 this row fails earlier, as Gauss-Hermite
+    # refinement runs out of nodes: QuadratureNotConverged)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"medium": {"v_doppler": v_doppler}}))
+    code, out, err = run(capsys, "delay", "--preset", "fig7", "--omega3", "1",
+                         "--mode", "both", "--config", str(path))
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    cold, hot = rows
+    assert cold["mode"] == "cold" and cold["error"] == ""
+    assert hot["mode"] == "hot" and hot["n_g"] == ""
+    assert hot["error"].startswith("SingularSystem: steady-state matrix condition number")
 
 
 def test_closed_stdout_pipe_exits_0_without_traceback():

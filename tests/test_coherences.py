@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralight import errors
+from chiralight import errors, presets
 from chiralight.coherences import (COND_LIMIT, CoherenceCoefficients,
                                    DenominatorTerms, _check_conditioning,
                                    _frobenius_cond, build_system_matrix,
                                    closed_form_betas, denominator_terms,
                                    shift_detunings, steady_betas)
-from chiralight.params import MediumParams, SystemParams, validate
+from chiralight.params import MediumParams, SystemParams, validate, with_overrides
 from oracles import cond_frobenius
 
 
@@ -188,6 +188,12 @@ def test_singular_matrix_raises():
                           np.diag([1.0, 1.0, 1e-13]).astype(complex))
     with pytest.raises(errors.SingularSystem, match="condition number"):
         _check_conditioning(s, dt)
+    # the message names the shifted probe detuning (Im a1) of the worst point
+    dt = DenominatorTerms(a1=np.array([1.0 + 0.5j, 1.0 - 2.5j]),
+                          a2=np.array([1.0 + 0j, 1e-13 + 0j]), a3=np.array([1.0 + 0j]))
+    with pytest.raises(errors.SingularSystem,
+                       match=r"condition number .* at shifted probe detuning d_p = -2\.5$"):
+        _check_conditioning(s, dt)
 
 
 _control = st.one_of(st.just(0.0), st.floats(0, 10))
@@ -245,3 +251,91 @@ def test_oracle_equivalence_property(o1, o2, o3, g, phi, dp, db, d1, d2, kv):
         b = complex(np.asarray(getattr(closed, name)))
         scale = max(abs(a), abs(b), 1e-30)
         assert abs(a - b) / scale < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# causality of the probe response (docs/causality.md)
+
+
+def _det_in_probe_detuning(s, kv):
+    """det M as a polynomial in delta_p, and the causal bound on its roots.
+
+    a1 and a2 are i*delta_p plus a constant and a3 does not depend on
+    delta_p, so det M is expanded here from the assembled matrix at
+    delta_p = 0 with polynomial entries.  The bound is minus the
+    smallest eigenvalue of -(M + M^H)/2 there.
+    """
+    M = build_system_matrix(s, denominator_terms(s, shift_detunings(s, kv, delta_p=0.0)))
+    P = [[np.poly1d([M[i, j]]) for j in range(3)] for i in range(3)]
+    P[0][0], P[2][2] = np.poly1d([1j, M[0, 0]]), np.poly1d([1j, M[2, 2]])
+    det = (P[0][0] * (P[1][1] * P[2][2] - P[1][2] * P[2][1])
+           - P[0][1] * (P[1][0] * P[2][2] - P[1][2] * P[2][0])
+           + P[0][2] * (P[1][0] * P[2][1] - P[1][1] * P[2][0]))
+    margin = float(np.linalg.eigvalsh(-0.5 * (M + M.conj().T)).min())
+    return det, -margin
+
+
+def _threshold_ratio(s):
+    g12 = 0.5 * (s.gamma_1 + s.gamma_2)
+    gall = 0.5 * (s.gamma_1 + s.gamma_2 + s.gamma_3 + s.gamma_4)
+    return s.omega_1 ** 2 / (4.0 * g12 * gall)
+
+
+def test_det_is_quadratic_in_probe_detuning():
+    s = SystemParams(**POINT_A)
+    det, _ = _det_in_probe_detuning(s, KV_A)
+    assert det.order == 2
+    for dp in (-1.3, 0.2, 2.0):
+        M = build_system_matrix(s, denominator_terms(s, shift_detunings(s, KV_A, delta_p=dp)))
+        assert det(dp) == pytest.approx(np.linalg.det(M), rel=1e-12)
+
+
+_gamma = st.floats(1e-3, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ratio=st.floats(0.0, 0.99), o2=st.floats(0, 10), o3=st.floats(0, 10),
+    phi=st.floats(0, 2 * math.pi), g1=_gamma, g2=_gamma, g3=_gamma, g4=_gamma,
+    db=st.floats(-20, 20), d2=st.floats(-20, 20),
+    a1=_sign, a2=_sign, a3=_sign, kv=st.floats(-1e3, 1e3),
+)
+def test_poles_stay_in_the_lower_half_plane_below_the_threshold(
+        ratio, o2, o3, phi, g1, g2, g3, g4, db, d2, a1, a2, a3, kv):
+    """Below omega_1^2 = 4*g12*gall both poles of the response in delta_p
+    lie at Im < 0 (the causal half-plane), for any kv and alpha signs,
+    and at least as far down as the negative-definite margin of the
+    Hermitian part of M."""
+    g12, gall = 0.5 * (g1 + g2), 0.5 * (g1 + g2 + g3 + g4)
+    s = SystemParams(omega_1=math.sqrt(ratio * 4.0 * g12 * gall), omega_2=o2,
+                     omega_3=o3, phi=phi, gamma_1=g1, gamma_2=g2, gamma_3=g3,
+                     gamma_4=g4, delta_b=db, delta_2=d2,
+                     alpha_1=a1, alpha_2=a2, alpha_3=a3)
+    assert _threshold_ratio(s) < 1.0
+    det, bound = _det_in_probe_detuning(s, kv)
+    assert det.order == 2 and bound < 0.0
+    for z in det.roots:
+        assert z.imag < 0.0
+        assert z.imag <= bound + 1e-10 * max(1.0, abs(z))
+
+
+def test_presets_sit_at_an_eighth_of_the_threshold():
+    highest = set()
+    for name in presets.names():
+        s = presets.get(name).config().system
+        assert _threshold_ratio(s) == pytest.approx(0.125, rel=1e-12)
+        det, _ = _det_in_probe_detuning(s, 0.0)
+        highest.add(round(float(max(det.roots.imag)), 2))
+    assert min(highest) == -3.54 and max(highest) == -0.20
+
+
+def test_a_strong_omega_1_moves_a_pole_into_the_upper_half_plane():
+    # the subluminal family has threshold omega_1 = sqrt(0.08) = 0.283
+    cfg = presets.get("fig2a").config()
+
+    def highest(o1):
+        s = with_overrides(cfg, system={"omega_1": o1}).system
+        return float(max(_det_in_probe_detuning(s, 0.0)[0].roots.imag))
+
+    assert highest(0.28) < 0.0 < highest(0.29)
+    assert highest(3.0) == pytest.approx(21.3029, abs=1e-4)
