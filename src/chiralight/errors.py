@@ -108,3 +108,8 @@ class NoCrossoverInRange(NumericalError):
 
 class NoRootInBracket(NumericalError):
     """A 1-D calibration root-find found no sign change in its bracket."""
+
+
+class RootSearchFailed(NumericalError):
+    """A bracketed root search met a NaN function value or did not
+    converge within its iteration limit."""

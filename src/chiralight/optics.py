@@ -17,19 +17,21 @@ the real part only at the end:
 with dn/dDelta_p from Richardson-extrapolated central differences.
 Group velocity and delay follow definitionally: v_g = c/N_g and
 tau = L*(N_g - 1)/c (negative = advance).  The crossover and the
-calibration import SciPy's brentq on their first root search.
+calibration find their roots with Brent's method (``_brent``), which
+follows SciPy's brentq bit for bit without importing SciPy.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coherences, response as response_mod
 from .errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
-                     NonPositiveTolerance, NoRootInBracket, NumericalError)
+                     NonPositiveTolerance, NoRootInBracket, NumericalError,
+                     RootSearchFailed)
 from .params import C_LIGHT, ValidatedConfig, with_overrides
 
 # |n_{i+1} - n_i| above this along a spectrum means the branch tracker
@@ -42,6 +44,11 @@ DEFAULT_STEP = 1.0e-3
 # Richardson error estimate above this fraction of the derivative
 # magnitude raises GridTooCoarse.
 DERIVATIVE_RTOL = 0.01
+
+# Relative tolerance and iteration limit of every root search: SciPy's
+# brentq defaults, 4 machine epsilons and 100 iterations.
+ROOT_RTOL = 4 * math.ulp(1.0)
+ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -225,24 +232,95 @@ def delay_table(scenarios) -> list:
     return rows
 
 
-def _bracketed_root(gap, lo, hi, no_root, **tol):
-    """brentq root of gap on [lo, hi] and the cached gap (each point is
-    evaluated once); raises no_root(g_lo, g_hi) if the ends share a sign."""
-    from scipy.optimize import brentq
-    gap = functools.cache(gap)  # brentq evaluates both ends again
-    g_lo, g_hi = gap(lo), gap(hi)
+def _evaluate(f, x):
+    """f(x) as a float; raises RootSearchFailed if it is NaN."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise RootSearchFailed(f"the function is NaN at x = {x!r}; "
+                               "the root search cannot continue")
+    return fx
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol):
+    """Brent's root of f between xpre and xcur, given fpre = f(xpre) and
+    fcur = f(xcur) of opposite signs (or either zero); returns
+    (root, f(root)).
+
+    A step-for-step transcription of the C brentq in SciPy
+    (scipy/optimize/Zeros/brentq.c, after R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4) at rtol = ROOT_RTOL:
+    the root and the points evaluated are bit-identical to SciPy's
+    brentq(f, xpre, xcur, xtol=xtol).  xcur is the latest estimate,
+    xpre the previous one and xblk the contrapoint; spre and scur are
+    the previous and current steps.  Raises RootSearchFailed after
+    ROOT_MAXITER iterations.
+    """
+    if fpre == 0:
+        return xpre, fpre
+    if fcur == 0:
+        return xcur, fcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf  # C gets inf or nan, which bisects
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _evaluate(f, xcur)
+    raise RootSearchFailed(f"no convergence after {ROOT_MAXITER} iterations "
+                           f"of the root search; last point x = {xcur!r}")
+
+
+def _bracketed_root(gap, lo, hi, no_root, xtol):
+    """(root, gap(root)) of gap on [lo, hi] by _brent, each point
+    evaluated once; raises no_root(g_lo, g_hi) if the ends share a sign."""
+    lo, hi = float(lo), float(hi)
+    g_lo, g_hi = _evaluate(gap, lo), _evaluate(gap, hi)
     if np.sign(g_lo) == np.sign(g_hi):
         raise no_root(g_lo, g_hi)
-    return float(brentq(gap, lo, hi, **tol)), gap
+    return _brent(gap, lo, hi, g_lo, g_hi, xtol)
 
 
 def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
                            omega3_hi: float, xtol: float = 1.0e-3) -> float:
     """Control-field strength where cold and hot group indices cross.
 
-    Bisects N_g_cold(omega_3) - N_g_hot(omega_3) at the probe detuning
-    stored in cfg.  Raises NonPositiveTolerance unless xtol is finite
-    and > 0.
+    Finds the root of N_g_cold(omega_3) - N_g_hot(omega_3) at the probe
+    detuning stored in cfg by Brent's method.  Raises
+    NonPositiveTolerance unless xtol is finite and > 0, and
+    RootSearchFailed on a NaN difference or after ROOT_MAXITER
+    iterations.
     """
     if not (np.isfinite(xtol) and xtol > 0):
         raise NonPositiveTolerance(f"xtol must be finite and > 0, got {xtol!r}")
@@ -261,14 +339,16 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
             f"N_g_cold - N_g_hot has the same sign ({g_lo:.3g}, {g_hi:.3g}) "
             f"at both ends of [{omega3_lo:g}, {omega3_hi:g}]")
 
-    return _bracketed_root(gap, omega3_lo, omega3_hi, no_root, xtol=xtol)[0]
+    return _bracketed_root(gap, omega3_lo, omega3_hi, no_root, xtol)[0]
 
 
 def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
                        lo: float, hi: float, mode: str = "cold"):
     """(kappa_e, achieved N_g) for N_g(delta_p) = target, kappa_e in [lo, hi].
 
-    Raises NoRootInBracket unless N_g - target changes sign over the bracket.
+    Raises NoRootInBracket unless N_g - target changes sign over the
+    bracket, and RootSearchFailed on a NaN N_g or after ROOT_MAXITER
+    iterations.
     """
     def gap(kappa):
         c = with_overrides(cfg, medium={"density_coupling": float(kappa)})
@@ -282,6 +362,5 @@ def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
 
     # the betas do not depend on kappa_e: solve each stencil input once
     with coherences.reuse_betas():
-        kappa, gap = _bracketed_root(gap, lo, hi, no_root, xtol=1e-30,
-                                     rtol=4 * np.finfo(float).eps)
-        return kappa, gap(kappa) + target
+        kappa, g_root = _bracketed_root(gap, lo, hi, no_root, 1e-30)
+    return kappa, g_root + target

@@ -1,10 +1,11 @@
 """What a command imports, checked in a fresh interpreter per case.
 
 scipy costs about half a second per process, so it loads only on the
-first thermal (Gauss-Hermite) average, which needs ``scipy.special``,
-or the first root search, which needs ``scipy.optimize``.  The test
-session itself has long since imported scipy, so each case starts its
-own ``python -c`` process with ``src`` on ``PYTHONPATH``.
+first thermal (Gauss-Hermite) average, which needs ``scipy.special``.
+The root searches run Brent's method in ``optics`` itself, so no
+command loads ``scipy.optimize``.  The test session itself has long
+since imported scipy, so each case starts its own ``python -c``
+process with ``src`` on ``PYTHONPATH``.
 """
 
 import hashlib
@@ -41,6 +42,8 @@ def _fresh(command):
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr.decode()
     code, *loaded = proc.stderr.decode().splitlines()[-1].split()
+    # the root searches run Brent's method without scipy.optimize
+    assert "scipy.optimize" not in loaded
     return int(code), proc.stdout, set(loaded)
 
 
@@ -62,9 +65,12 @@ def test_command_loads_only_the_scipy_it_uses(command, expected):
 @pytest.mark.parametrize("command, expected", [
     ("pulse --preset fig8ab --vacuum", set()),
     ("spectrum --preset fig4a --mode hot --grid -1:1:5", {"scipy.special"}),
-    ("calibrate --preset fig8ab --target 1415.65",
-     {"scipy.special", "scipy.optimize"}),
-], ids=["pulse-vacuum", "hot-spectrum", "calibrate"])
+    ("calibrate --preset fig8ab --target 1415.65", set()),
+    ("calibrate --preset fig8ab --target 1618.15 --mode hot --quantity n_0",
+     {"scipy.special"}),
+    ("crossover --preset fig7", {"scipy.special"}),
+], ids=["pulse-vacuum", "hot-spectrum", "calibrate", "hot-calibrate",
+        "crossover"])
 def test_import_on_first_use_keeps_the_golden_bytes(command, expected):
     # pulse --vacuum stands for the cold commands, which load no scipy
     code, out, loaded = _fresh(command)

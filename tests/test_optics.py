@@ -7,16 +7,19 @@ superluminal advance) end to end.
 """
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chiralight import optics, presets
 from chiralight import response as response_mod
 from chiralight.cli import main
 from chiralight.errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
-                               NoRootInBracket)
+                               NoRootInBracket, RootSearchFailed)
 from chiralight.params import C_LIGHT, with_overrides
 from chiralight.response import OpticalResponse
 
@@ -250,6 +253,106 @@ def test_no_crossover_in_range_raises(monkeypatch):
     _plant_group_indices(monkeypatch, lambda o3: 2.0, lambda o3: 1.0)
     with pytest.raises(NoCrossoverInRange, match="same sign"):
         optics.superluminal_crossover(presets.get("fig2a").config(), 0.1, 0.2)
+
+
+def test_nan_crossover_gap_exits_3(monkeypatch, capsys):
+    _plant_group_indices(monkeypatch, lambda o3: 3.0 - o3,
+                         lambda o3: math.nan if 1.5 < o3 < 5.0 else 1.0)
+    assert main(["crossover", "--preset", "fig7", "--omega3-range", "1.5:5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: RootSearchFailed: the function "
+                          "is NaN at x = ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# root search
+
+
+def _recorded(f):
+    """f and the list of points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+def _planted_root_search(gap, lo=0.0, hi=1.0, xtol=1e-12):
+    return optics._bracketed_root(gap, lo, hi, AssertionError, xtol)
+
+
+@pytest.mark.parametrize("end", [0.0, 1.0])
+def test_nan_at_a_bracket_end_fails_before_the_search(end):
+    gap, calls = _recorded(lambda x: math.nan if x == end else x - 0.5)
+    with pytest.raises(RootSearchFailed,
+                       match=f"^the function is NaN at x = {end}; "):
+        _planted_root_search(gap)
+    assert calls == ([0.0] if end == 0.0 else [0.0, 1.0])
+
+
+def test_nan_inside_the_bracket_names_the_point():
+    gap, calls = _recorded(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5)
+    with pytest.raises(RootSearchFailed,
+                       match=r"^the function is NaN at x = 0\.5; "):
+        _planted_root_search(gap)
+    assert calls == [0.0, 1.0, 0.5]
+
+
+def test_iteration_limit_names_the_count():
+    # a step has no root to interpolate: Brent bisects 100 times, far
+    # short of the 1e-300 tolerance
+    gap, calls = _recorded(lambda x: -1.0 if x < 0 else 1.0)
+    with pytest.raises(RootSearchFailed,
+                       match="^no convergence after 100 iterations "):
+        _planted_root_search(gap, -1.0, 2.0, xtol=1e-300)
+    assert len(calls) == 2 + optics.ROOT_MAXITER
+
+
+_GAPS = {
+    "linear": lambda s, r, w: lambda x: s * (x - r),
+    "cubic": lambda s, r, w: lambda x: s * (x - r) ** 3,
+    "tanh": lambda s, r, w: lambda x: math.tanh(s * (x - r)),
+    # non-monotone: several roots and turning points inside the bracket
+    "wiggly": lambda s, r, w: lambda x: s * (x - r) + math.sin(w * x),
+    "step": lambda s, r, w: lambda x: s if x > r else -s,
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(sorted(_GAPS)),
+       # extreme scales underflow Brent's divided differences to zero
+       scale=st.one_of(st.floats(-6, 6), st.floats(-300, 300)).map(
+           lambda e: 10.0 ** e),
+       root=st.floats(-10, 10), wiggle=st.floats(0.5, 20),
+       lo=st.floats(-20, 20), hi=st.floats(-20, 20),
+       zero_end=st.sampled_from([None, "lo", "hi"]),
+       xtol=st.floats(-30, 0).map(lambda e: 10.0 ** e))
+# a coarse xtol, where the "- delta" of the step acceptance test decides
+@example(kind="wiggly", scale=0.01, root=-6.79, wiggle=12.0, lo=7.7, hi=14.4,
+         zero_end=None, xtol=0.1)
+def test_brent_matches_scipy_brentq(kind, scale, root, wiggle, lo, hi,
+                                    zero_end, xtol):
+    from scipy.optimize import brentq
+    f = _GAPS[kind](scale, root, wiggle)
+    if zero_end is not None:
+        zero, raw = (lo if zero_end == "lo" else hi), f
+        f = lambda x: 0.0 if x == zero else raw(x)  # noqa: E731
+    g_lo, g_hi = f(lo), f(hi)
+    assume(lo != hi and (g_lo == 0 or g_hi == 0
+                         or math.copysign(1, g_lo) != math.copysign(1, g_hi)))
+    ours, our_calls = _recorded(f)
+    theirs, their_calls = _recorded(f)
+    try:
+        expected = brentq(theirs, lo, hi, xtol=xtol)
+    except RuntimeError:  # SciPy's iteration limit
+        with pytest.raises(RootSearchFailed, match="after 100 iterations"):
+            optics._brent(ours, lo, hi, g_lo, g_hi, xtol)
+    else:
+        got, g_root = optics._brent(ours, lo, hi, g_lo, g_hi, xtol)
+        assert got == expected and g_root == f(got)
+    # SciPy evaluates both ends again; _brent is handed them
+    assert [lo, hi, *our_calls] == their_calls
 
 
 # ---------------------------------------------------------------------------
