@@ -4,6 +4,8 @@ These are deliberately generic and slow: they see only the assembled
 arrays, not the structure the production path exploits.
 """
 
+import functools
+
 import numpy as np
 
 from chiralight.doppler import _rel_change
@@ -31,6 +33,37 @@ def cond_frobenius(M):
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(det == 0, np.inf, norm_m * norm_adj / np.abs(det))
     return cond
+
+
+@functools.cache
+def _hermite_nodes(n):
+    from scipy.special import roots_hermite
+    return roots_hermite(n)
+
+
+def full_node_gauss_hermite_average(f, v_d, spec):
+    """Gauss-Hermite node doubling that evaluates f at all n nodes of a level.
+
+    The levels, weighted sums, convergence test and error of
+    ``doppler.doppler_average`` (for v_d above its cold threshold and
+    nodes that do not overflow), except that the nodes whose weight
+    underflows to 0.0 are evaluated too and enter the sums as f * 0.
+    The production average skips them and must return the same bits.
+    """
+    prev = None
+    n = spec.node_count
+    while n <= spec.max_nodes:
+        x, w = _hermite_nodes(n)
+        vals = f(v_d * x)
+        cur = np.array([(c * w).sum(axis=-1) for c in vals]) / np.sqrt(np.pi)
+        floor = [(np.abs(c) * w).sum(axis=-1).max() / np.sqrt(np.pi) for c in vals]
+        if prev is not None and _rel_change(cur, prev, floor) < spec.rel_tol:
+            return tuple(cur)
+        prev = cur
+        n *= 2
+    raise QuadratureNotConverged(
+        f"Gauss-Hermite average not converged to {spec.rel_tol:g} "
+        f"within {spec.max_nodes} nodes")
 
 
 def trapezoid_average(f, v_d, *, truncation, rel_tol=1.0e-8, max_panels=16384):

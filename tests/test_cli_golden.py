@@ -1,4 +1,4 @@
-"""Byte-identity guard on the fast README commands, one small hot run, a
+"""Byte-identity guard on the fast README commands, two small hot runs, a
 small thermal-width sweep (its v_d = 0 series included) and the JSON,
 all-preset, computed-constants and one-point-grid output routes.
 
@@ -7,6 +7,8 @@ exit 0 and the SHA-256 of everything it wrote to stdout.  A refactor
 that claims unchanged outputs must keep every digest.  The hot
 ``spectrum`` run pins the Gauss-Hermite thermal average outside the
 memo of ``coherences.reuse_betas``; the hot ``calibrate`` pins it inside.
+The hot ``delay`` on fig8ab reaches the 2048-node level, where the
+nodes of zero weight are not evaluated.
 
 The digests pin the numbers this host's numpy/LAPACK build produces
 (the last printed digit can follow the BLAS kernel in use).  An
@@ -37,6 +39,8 @@ GOLDEN = {
         "0ccf7abf56731c3a9122a110f188701c585a2a6f2f1f15339595ac3870fc7b22",
     "spectrum --preset fig4a --mode hot --grid -1:1:5":
         "7f295caa3b3bdb15e71c0224340f257a09cd48dfe3cfa7af720eb8d528889db1",
+    "delay --preset fig8ab --mode hot":
+        "cba7946328f5a479e6d57bdea2dd367c10c56a02fe4053748f2d32029c9f7080",
     "preset-dump fig2":
         "78b52a251fa1cd520e0f99ebe98bbabfe599ce876d062e76462fea66bb9d387a",
     "spectrum --preset fig2a --grid -1:1:5 --format json":

@@ -1,18 +1,20 @@
-"""Maxwellian velocity averaging: Gauss-Hermite, its trapezoid oracle, hot response."""
+"""Maxwellian velocity averaging: Gauss-Hermite, its oracles, hot response."""
 
 import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc, roots_hermite
 
-from chiralight import doppler, errors
+from chiralight import doppler, errors, presets
 from chiralight.doppler import (COLD_WIDTH, QuadratureSpec, doppler_average,
                                 hot_response)
-from chiralight.params import MediumParams, SystemParams, validate
+from chiralight.params import MediumParams, SystemParams, validate, with_overrides
 from chiralight.response import response_at
-from oracles import trapezoid_average
+from oracles import full_node_gauss_hermite_average, trapezoid_average
 
 # closed form of (1/sqrt(pi)) * integral exp(-u^2)/(1 + i*u) du
 LORENTZ_AVG = float(np.sqrt(np.pi) * np.e * erfc(1.0))
@@ -138,6 +140,62 @@ def test_singular_node_propagates_unchanged():
         doppler_average(f, 1.0)
     assert info.value is raised
     assert calls == [QuadratureSpec().node_count]
+
+
+def _outcome(average, f, v_d):
+    """(error name and message, None) or (None, the averages)."""
+    try:
+        return None, average(f, v_d, QuadratureSpec())
+    except errors.ChiralightError as exc:
+        return f"{type(exc).__name__}: {exc}", None
+
+
+SIGN = st.sampled_from((1.0, -1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(v_d=st.floats(0.05, 2.0), delta_p=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       alphas=st.tuples(SIGN, SIGN, SIGN))
+@example(v_d=0.5, delta_p=[0.0], alphas=(1.0, 1.0, 1.0))  # fig8ab: the 2048-node level
+@example(v_d=1.0, delta_p=[0.0], alphas=(1.0, 1.0, 1.0))  # the 8192-node level
+@example(v_d=1.0, delta_p=[0.0], alphas=(1.0, -1.0, 1.0))  # QuadratureNotConverged
+def test_zero_weight_nodes_skipped_bit_for_bit(v_d, delta_p, alphas):
+    """Evaluating only the nodes that carry weight gives the same bits (or
+    the same error) as evaluating every node on the narrow fig8ab family,
+    whose lines need 512 nodes and more, where the outer weights are 0.0."""
+    cfg = with_overrides(presets.get("fig8ab").config(),
+                         system=dict(zip(("alpha_1", "alpha_2", "alpha_3"), alphas)),
+                         medium={"v_doppler": v_d})
+    grid = np.array(delta_p)[:, None]
+
+    def f(kv):
+        return response_at(cfg, kv[None, :], delta_p=grid).components()
+
+    got_error, got = _outcome(doppler_average, f, v_d)
+    want_error, want = _outcome(full_node_gauss_hermite_average, f, v_d)
+    assert got_error == want_error
+    if want is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_only_weighted_nodes_are_evaluated():
+    """Every kv handed to the integrand is v_d * x_i with w_i != 0, each
+    level sees all of those nodes, and from 512 nodes on fewer than n."""
+    cfg = presets.get("fig8ab").config()
+    v_d = cfg.medium.v_doppler
+    seen = []
+
+    def f(kv):
+        seen.append(kv.copy())
+        return response_at(cfg, kv, delta_p=0.0).components()
+
+    doppler_average(f, v_d)
+    sizes = [QuadratureSpec().node_count << i for i in range(len(seen))]
+    assert sizes[-1] >= 2048
+    for n, kv in zip(sizes, seen):
+        x, w = roots_hermite(n)
+        assert np.array_equal(kv, v_d * x[w != 0])
+        assert kv.size < n or n < 512
 
 
 def test_quadrature_not_converged():
