@@ -33,7 +33,7 @@ from .optics import (DispersionPoint, calibrate_coupling, delay_table,
 from .params import (MediumParams, SystemParams, ValidatedConfig,
                      derived_couplings, load_config, validate, with_overrides)
 from .response import OpticalResponse, response_at, spectrum
-from .doppler import QuadratureSpec, doppler_average, hot_response
+from .doppler import doppler_average, hot_response
 from .pulse import (PulseSpec, PulseTrace, dispersion_coefficients,
                     propagate_analytic, propagate_numeric, pulse_metrics)
 
@@ -47,7 +47,7 @@ __all__ = [
     "shift_detunings", "denominator_terms", "solve_steady_state",
     "steady_betas", "closed_form_betas",
     "OpticalResponse", "response_at", "spectrum",
-    "QuadratureSpec", "doppler_average", "hot_response",
+    "doppler_average", "hot_response",
     "DispersionPoint", "refractive_index", "group_index_curve", "group_index_at",
     "delay_table", "superluminal_crossover", "calibrate_coupling",
     "PulseSpec", "PulseTrace", "dispersion_coefficients",

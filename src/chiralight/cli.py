@@ -67,6 +67,8 @@ def parse_grid(text: str) -> np.ndarray:
             "integer") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigurationError(f"bad --grid {text!r}: lo, hi must be finite")
+    if not math.isfinite(hi - lo):
+        raise ConfigurationError(f"bad --grid {text!r}: span hi - lo overflows")
     if count < 1:
         raise ConfigurationError(f"bad --grid {text!r}: empty grid (count < 1)")
     return np.linspace(lo, hi, count)

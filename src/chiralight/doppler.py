@@ -6,11 +6,13 @@ distribution is
     <f> = (1/(V_D sqrt(pi))) * integral f(kv) exp(-(kv)^2/V_D^2) d(kv)
 
 After u = kv/V_D this weight is exactly the Gauss-Hermite weight, so
-:func:`doppler_average` uses Gauss-Hermite quadrature with automatic
-node doubling until two consecutive refinements agree.  It is the only
-route.  The integrand is evaluated only at the nodes whose weight is
-not 0.0 (from 512 nodes on, exp(-x^2) underflows at the outer ones);
-an error it raises at a node that carries weight (SingularSystem,
+:func:`doppler_average` runs one fixed Gauss-Hermite ladder: 64 nodes,
+doubled up to 16384, until two consecutive levels agree to 1e-8.  It is
+the only route and takes no settings.  :func:`hot_response` averages a
+detuning grid in groups of 61 points that share that convergence test.
+The integrand is evaluated only at the nodes whose weight is not 0.0
+(from 512 nodes on, exp(-x^2) underflows at the outer ones); an error
+it raises at a node that carries weight (SingularSystem,
 CouplingOverflow) fails the average unchanged.  The overflow check on
 v_d times the nodes still looks at the outermost node x[-1], weighted
 or not.  The test suite checks the average against an independent
@@ -19,15 +21,14 @@ second quadrature and against an all-node evaluation.
 Integrands return a sequence of component arrays (last axis = kv) and
 averages come back as a tuple.  Reductions use numpy's pairwise
 summation over all n nodes of a level in a fixed order, the skipped
-ones as exact zeros, so results are deterministic for a given
-QuadratureSpec.  SciPy (the Gauss-Hermite nodes) is imported
-on the first hot average, so cold runs never load it.
+ones as exact zeros, so results are deterministic.  SciPy (the
+Gauss-Hermite nodes) is imported on the first hot average, so cold runs
+never load it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,34 +40,19 @@ from .params import ValidatedConfig
 # and the average returns the kv = 0 value exactly.
 COLD_WIDTH = 1.0e-6
 
-# Points x nodes budget per batched evaluation when averaging over a
-# detuning grid, and per row block of its integrand (keeps the
-# (rows, node, 3, 3) solve tensors small).  The chunk is sized for all
-# max_nodes nodes although fewer carry weight: its 61 points share one
-# convergence test, so resizing it would move the level, and the bits,
-# at which a point converges.
-_CHUNK_BUDGET = 1_000_000
+# The Gauss-Hermite ladder: start at NODE_COUNT nodes and double until
+# two consecutive levels agree to REL_TOL, giving up past MAX_NODES.
+NODE_COUNT = 64
+REL_TOL = 1.0e-8
+MAX_NODES = 16384
+
+# Detuning points per group in hot_response, and points x nodes per row
+# block of its integrand (keeps the (rows, node, 3, 3) solve tensors
+# small).  The points of a group share one convergence test, so another
+# group size would move the level, and the bits, at which a point
+# converges: keep it at 61.
+_GROUP_SIZE = 61
 _BLOCK_BUDGET = 16384
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Velocity-average discretization parameters.
-
-    node_count is the starting Gauss-Hermite node count; refinement
-    doubles it until two consecutive levels agree to rel_tol or
-    max_nodes is exceeded.
-    """
-
-    node_count: int = 64
-    rel_tol: float = 1.0e-8
-    max_nodes: int = 16384
-
-    def __post_init__(self):
-        if self.node_count < 8:
-            raise ValueError("node_count must be >= 8")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
 
 
 @functools.cache
@@ -109,27 +95,7 @@ def _rel_change(new, old, floor):
     return err
 
 
-def _gauss_hermite_average(f, v_d, spec):
-    prev = None
-    n = spec.node_count
-    while n <= spec.max_nodes:
-        x, w, lo, hi = _hermite(n)
-        # the nodes are sorted and symmetric, so x[-1] is the largest
-        if not np.isfinite(v_d * float(x[-1])):
-            raise CouplingOverflow(f"Gauss-Hermite nodes overflow at v_d = {v_d:g}")
-        vals = f(v_d * x[lo:hi])
-        cur = np.array([_weighted_sum(c, w, lo, hi) for c in vals]) / np.sqrt(np.pi)
-        floor = [_weighted_sum(np.abs(c), w, lo, hi).max() / np.sqrt(np.pi) for c in vals]
-        if prev is not None and _rel_change(cur, prev, floor) < spec.rel_tol:
-            return tuple(cur)
-        prev = cur
-        n *= 2
-    raise QuadratureNotConverged(
-        f"Gauss-Hermite average not converged to {spec.rel_tol:g} "
-        f"within {spec.max_nodes} nodes")
-
-
-def doppler_average(f, v_d: float, spec: QuadratureSpec = QuadratureSpec()):
+def doppler_average(f, v_d: float):
     """Average f(kv) over the Maxwellian weight of width v_d.
 
     f maps an array of kv samples to a sequence of complex component
@@ -140,7 +106,23 @@ def doppler_average(f, v_d: float, spec: QuadratureSpec = QuadratureSpec()):
     """
     if v_d < COLD_WIDTH:
         return tuple(v[..., 0] for v in f(np.zeros(1)))
-    return _gauss_hermite_average(f, v_d, spec)
+    prev = None
+    n = NODE_COUNT
+    while n <= MAX_NODES:
+        x, w, lo, hi = _hermite(n)
+        # the nodes are sorted and symmetric, so x[-1] is the largest
+        if not np.isfinite(v_d * float(x[-1])):
+            raise CouplingOverflow(f"Gauss-Hermite nodes overflow at v_d = {v_d:g}")
+        vals = f(v_d * x[lo:hi])
+        cur = np.array([_weighted_sum(c, w, lo, hi) for c in vals]) / np.sqrt(np.pi)
+        floor = [_weighted_sum(np.abs(c), w, lo, hi).max() / np.sqrt(np.pi) for c in vals]
+        if prev is not None and _rel_change(cur, prev, floor) < REL_TOL:
+            return tuple(cur)
+        prev = cur
+        n *= 2
+    raise QuadratureNotConverged(
+        f"Gauss-Hermite average not converged to {REL_TOL:g} "
+        f"within {MAX_NODES} nodes")
 
 
 def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
@@ -148,15 +130,14 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
 
     Each component is averaged with the full shifted-detuning rule
     (all alpha_i signs) applied at every weighted node and comes back
-    shaped like grid.  Grids go in chunks, the integrand in row blocks,
-    to bound the batched 3x3 solves.
+    shaped like grid.  Grids go in groups of _GROUP_SIZE points, the
+    integrand in row blocks, to bound the batched 3x3 solves.
     """
     grid = np.asarray(grid, dtype=float)
 
-    chunk = _CHUNK_BUDGET // QuadratureSpec().max_nodes
     parts = []
-    for start in range(0, grid.size, chunk):
-        sub = grid[start:start + chunk]
+    for start in range(0, grid.size, _GROUP_SIZE):
+        sub = grid[start:start + _GROUP_SIZE]
 
         def f(kv, _sub=sub):
             step = max(1, _BLOCK_BUDGET // kv.size)

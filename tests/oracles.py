@@ -8,6 +8,7 @@ import functools
 
 import numpy as np
 
+from chiralight import doppler
 from chiralight.doppler import _rel_change
 from chiralight.errors import QuadratureNotConverged
 from chiralight.params import C_LIGHT
@@ -41,29 +42,30 @@ def _hermite_nodes(n):
     return roots_hermite(n)
 
 
-def full_node_gauss_hermite_average(f, v_d, spec):
+def full_node_gauss_hermite_average(f, v_d):
     """Gauss-Hermite node doubling that evaluates f at all n nodes of a level.
 
-    The levels, weighted sums, convergence test and error of
+    The ladder (``doppler.NODE_COUNT``, ``REL_TOL``, ``MAX_NODES``, read
+    at call time), weighted sums, convergence test and error of
     ``doppler.doppler_average`` (for v_d above its cold threshold and
     nodes that do not overflow), except that the nodes whose weight
     underflows to 0.0 are evaluated too and enter the sums as f * 0.
     The production average skips them and must return the same bits.
     """
     prev = None
-    n = spec.node_count
-    while n <= spec.max_nodes:
+    n = doppler.NODE_COUNT
+    while n <= doppler.MAX_NODES:
         x, w = _hermite_nodes(n)
         vals = f(v_d * x)
         cur = np.array([(c * w).sum(axis=-1) for c in vals]) / np.sqrt(np.pi)
         floor = [(np.abs(c) * w).sum(axis=-1).max() / np.sqrt(np.pi) for c in vals]
-        if prev is not None and _rel_change(cur, prev, floor) < spec.rel_tol:
+        if prev is not None and _rel_change(cur, prev, floor) < doppler.REL_TOL:
             return tuple(cur)
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
-        f"Gauss-Hermite average not converged to {spec.rel_tol:g} "
-        f"within {spec.max_nodes} nodes")
+        f"Gauss-Hermite average not converged to {doppler.REL_TOL:g} "
+        f"within {doppler.MAX_NODES} nodes")
 
 
 def trapezoid_average(f, v_d, *, truncation, rel_tol=1.0e-8, max_panels=16384):

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from chiralight import coherences, doppler, optics, presets, pulse, response
-from chiralight.doppler import QuadratureSpec
 from chiralight.params import (C_LIGHT, MediumParams, SystemParams, validate,
                                with_overrides)
 from oracles import dft, l2_difference, quadratic_wavenumber, trapezoid_average
@@ -123,7 +122,7 @@ def test_criterion_02_doppler_limit_and_dual_quadrature(record, subluminal_cfg):
         def f(kv, part=part):
             return response.response_at(subluminal_cfg, kv[None, :],
                                         delta_p=part[:, None]).components()
-        gauss.append(doppler.doppler_average(f, v_d, QuadratureSpec(rel_tol=1e-10)))
+        gauss.append(doppler.doppler_average(f, v_d))
         trapezoid.append(trapezoid_average(
             f, v_d, truncation=6.0, rel_tol=1e-10, max_panels=1 << 17))
     rel_quad = _components_rel(

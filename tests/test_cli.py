@@ -455,6 +455,18 @@ def test_overflowing_detuning_grid_exits_3_without_warnings(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("grid", ["1e308:-1e308:3", "-1.7e308:1.7e308:5", "1e308:-1e308:1"])
+def test_overflowing_grid_span_exits_2_without_warnings(capsys, grid):
+    # both ends are finite, but np.linspace would warn and return nan/inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "spectrum", "--preset", "fig2a", "--grid", grid)
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert f"bad --grid {grid!r}: span hi - lo overflows" in err
+    assert len(err.splitlines()) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("argv, doc", [
     (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"),
      {"medium": {"v_doppler": 1e150}}),
@@ -628,8 +640,8 @@ def cold_argv(draw):
     if command == "spectrum":
         count = draw(st.sampled_from(("3", "0", "-1", "", "nan")))
         argv += ["--mode", "cold", "--grid",
-                 f"{draw(st.sampled_from(EDGE + ('-1.5',)))}:"
-                 f"{draw(st.sampled_from(EDGE + ('1.5',)))}:{count}"]
+                 f"{draw(st.sampled_from(EDGE + ('-1.5', '1e308', '-1e308')))}:"
+                 f"{draw(st.sampled_from(EDGE + ('1.5', '1e308', '-1e308')))}:{count}"]
         if draw(maybe):
             argv += ["--vd", ",".join(draw(st.lists(edge, max_size=2)))]
     elif command == "delay":
@@ -653,6 +665,7 @@ def cold_argv(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(argv=cold_argv())
+@example(["spectrum", "--preset", "fig2a", "--mode", "cold", "--grid", "1e308:-1e308:3"])
 def test_fuzzed_cli_keeps_exit_code_contract(argv):
     code, out, err = _run_isolated(argv)
     assert code in (0, 2, 3), (argv, code, err)
@@ -671,6 +684,15 @@ CONFIG_COMMANDS = (
     ("pulse", "--mode", "cold"),
     ("calibrate", "--target", "1607.5"),
 )
+
+
+def _omega_1_examples(test):
+    """omega_1 on both sides of the causality threshold sqrt(0.08) ~ 0.283
+    of the fig2a family (docs/causality.md), for every command."""
+    for command in CONFIG_COMMANDS:
+        for omega_1 in (0.28, 0.30, 3.0):
+            test = example(command, True, {"system": {"omega_1": omega_1}})(test)
+    return test
 
 
 def _config_keys(params):
@@ -704,6 +726,7 @@ def config_doc(draw):
 @example(CONFIG_COMMANDS[0], True, {"system": {"omega_1": HUGE_INT}})
 @example(CONFIG_COMMANDS[0], True, {"medium": {"density_coupling": 1e300}})
 @example(CONFIG_COMMANDS[0], False, {"system": {"omega_2": 1e200}})
+@_omega_1_examples
 def test_fuzzed_config_keeps_exit_code_contract(tmp_path_factory, command, preset, doc):
     path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
     path.write_text(json.dumps(doc))

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc, roots_hermite
 
 from chiralight import doppler, errors, presets
-from chiralight.doppler import (COLD_WIDTH, QuadratureSpec, doppler_average,
-                                hot_response)
+from chiralight.doppler import COLD_WIDTH, doppler_average, hot_response
 from chiralight.params import MediumParams, SystemParams, validate, with_overrides
 from chiralight.response import response_at
 from oracles import full_node_gauss_hermite_average, trapezoid_average
@@ -29,13 +28,6 @@ BOTH_AVERAGES = pytest.mark.parametrize(
 
 def _cfg(system=None, medium=None):
     return validate(SystemParams(**(system or {})), MediumParams(**(medium or {})))
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(node_count=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=-1.0)
 
 
 @BOTH_AVERAGES
@@ -61,9 +53,8 @@ def test_lorentzian_golden_value(average):
 
 def test_dual_quadrature_methods_agree():
     f = lambda kv: (1.0 / (1.0 + 1j * kv),)
-    tight = 1e-10
-    (gh,) = doppler_average(f, 1.0, QuadratureSpec(rel_tol=tight))
-    (tz,) = trapezoid_average(f, 1.0, truncation=8.0, rel_tol=tight, max_panels=1 << 17)
+    (gh,) = doppler_average(f, 1.0)
+    (tz,) = trapezoid_average(f, 1.0, truncation=8.0, rel_tol=1e-10, max_panels=1 << 17)
     assert abs(gh - tz) / abs(gh) < 1e-8
 
 
@@ -90,10 +81,9 @@ def test_averaging_is_linear():
     f = lambda kv: 1.0 / (1.0 + 1j * kv)
     g = lambda kv: np.exp(1j * kv)
     a, b = 1.7, -0.4 + 0.2j
-    spec = QuadratureSpec(rel_tol=1e-10)
-    (combined,) = doppler_average(lambda kv: (a * f(kv) + b * g(kv),), 1.0, spec)
-    (f_avg,) = doppler_average(lambda kv: (f(kv),), 1.0, spec)
-    (g_avg,) = doppler_average(lambda kv: (g(kv),), 1.0, spec)
+    (combined,) = doppler_average(lambda kv: (a * f(kv) + b * g(kv),), 1.0)
+    (f_avg,) = doppler_average(lambda kv: (f(kv),), 1.0)
+    (g_avg,) = doppler_average(lambda kv: (g(kv),), 1.0)
     separate = a * f_avg + b * g_avg
     assert combined == pytest.approx(separate, rel=1e-9)
 
@@ -113,13 +103,17 @@ def test_reflection_invariance_of_average(subluminal_cfg):
         assert a == pytest.approx(b, rel=1e-9)
 
 
-def test_node_doubling_converged(subluminal_cfg):
-    """Doubling the starting node count moves the result below rel_tol."""
+def test_node_doubling_converged(subluminal_cfg, monkeypatch):
+    """Doubling the starting node count moves the result below REL_TOL."""
     def comps(kv):
         return response_at(subluminal_cfg, kv, delta_p=0.2).components()
 
-    a = doppler_average(comps, 0.5, QuadratureSpec(node_count=64))
-    b = doppler_average(comps, 0.5, QuadratureSpec(node_count=128))
+    def average(node_count):
+        monkeypatch.setattr(doppler, "NODE_COUNT", node_count)
+        return doppler_average(comps, 0.5)
+
+    a = average(64)
+    b = average(128)
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-8 * max(abs(x), abs(y), 1e-30)
 
@@ -139,13 +133,13 @@ def test_singular_node_propagates_unchanged():
     with pytest.raises(errors.SingularSystem) as info:
         doppler_average(f, 1.0)
     assert info.value is raised
-    assert calls == [QuadratureSpec().node_count]
+    assert calls == [doppler.NODE_COUNT]
 
 
 def _outcome(average, f, v_d):
     """(error name and message, None) or (None, the averages)."""
     try:
-        return None, average(f, v_d, QuadratureSpec())
+        return None, average(f, v_d)
     except errors.ChiralightError as exc:
         return f"{type(exc).__name__}: {exc}", None
 
@@ -190,7 +184,7 @@ def test_only_weighted_nodes_are_evaluated():
         return response_at(cfg, kv, delta_p=0.0).components()
 
     doppler_average(f, v_d)
-    sizes = [QuadratureSpec().node_count << i for i in range(len(seen))]
+    sizes = [doppler.NODE_COUNT << i for i in range(len(seen))]
     assert sizes[-1] >= 2048
     for n, kv in zip(sizes, seen):
         x, w = roots_hermite(n)
@@ -198,11 +192,12 @@ def test_only_weighted_nodes_are_evaluated():
         assert kv.size < n or n < 512
 
 
-def test_quadrature_not_converged():
+def test_quadrature_not_converged(monkeypatch):
     # a single refinement level can never satisfy the two-level check
-    spec = QuadratureSpec(node_count=64, max_nodes=64)
-    with pytest.raises(errors.QuadratureNotConverged):
-        doppler_average(lambda kv: (1.0 / (1.0 + 1j * kv),), 1.0, spec)
+    monkeypatch.setattr(doppler, "MAX_NODES", doppler.NODE_COUNT)
+    with pytest.raises(errors.QuadratureNotConverged) as info:
+        doppler_average(lambda kv: (1.0 / (1.0 + 1j * kv),), 1.0)
+    assert str(info.value) == "Gauss-Hermite average not converged to 1e-08 within 64 nodes"
 
 
 def test_hot_response_cold_limit(subluminal_cfg, default_cfg):
@@ -270,3 +265,16 @@ def test_thermal_width_family_is_monotone_at_resonance():
         cfg = _cfg(system={"omega_2": 4.0}, medium={"v_doppler": vd})
         vals.append(hot_response(cfg, np.zeros(1)).chi_e[0].imag)
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_grid_is_averaged_in_groups_of_61_points():
+    """The points of a group share one convergence test, so the group
+    size fixes the bits: a grid averages as its 61-point groups do.  The
+    near-resonance points 0.0 and 0.05 sit at both ends, so a group of
+    30, 60, 62, 64 or 122 points gives other bits."""
+    cfg = presets.get("fig8ab").config()
+    grid = np.concatenate([[0.0], np.linspace(5.0, 10.0, 60), [0.05]])
+    whole = hot_response(cfg, grid)
+    groups = [hot_response(cfg, grid[:61]), hot_response(cfg, grid[61:])]
+    for a, *parts in zip(whole.components(), *(g.components() for g in groups)):
+        assert np.array_equal(a, np.concatenate(parts))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import chiralight
 from test_cli_golden import GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,3 +78,9 @@ def test_import_on_first_use_keeps_the_golden_bytes(command, expected):
     assert code == 0
     assert loaded == expected
     assert hashlib.sha256(out).hexdigest() == GOLDEN[command]
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from chiralight import *", namespace)  # AttributeError on a stale name
+    assert set(chiralight.__all__) <= namespace.keys()
