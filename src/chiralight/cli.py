@@ -71,6 +71,10 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigurationError(f"bad --grid {text!r}: span hi - lo overflows")
     if count < 1:
         raise ConfigurationError(f"bad --grid {text!r}: empty grid (count < 1)")
+    # numpy's array limit, which linspace applies to float(count)
+    limit = np.iinfo(np.intp).max // np.dtype(float).itemsize
+    if count >= limit or float(count) >= limit:
+        raise ConfigurationError(f"bad --grid {text!r}: count too large")
     return np.linspace(lo, hi, count)
 
 

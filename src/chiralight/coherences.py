@@ -2,23 +2,21 @@
 
 Steady state of the three coupled coherence equations for the vector
 (rho_14, rho_13, rho_12), with unit ground-state population and the
-probe fields kept to first order.  Two computation paths exist on
+probe fields kept to first order.  Two independent routes exist on
 purpose:
 
-* :func:`steady_betas` -- the authoritative 3x3 linear solve
+* :func:`steady_betas` -- the authoritative 3x3 linear solve (LU)
   Y = -M^-1 X against unit probe drives X; the coherences are linear
   in omega_p and omega_b, so the betas never depend on them;
-* :func:`closed_form_betas` -- the explicit algebraic expressions for
-  the same four coefficients.
+* :func:`closed_form_betas` -- the same four coefficients as entries
+  of the adjugate of M over det M; the closed-form denominator D of
+  the physics literature is 8 det M.
 
-The two must agree to 1e-10 relative wherever the system matrix is
-well conditioned; the test suite enforces this equivalence.
-
-The conditioning guard lives in :func:`steady_betas`: before M is
-built, it takes the Frobenius condition number of M from the three
-diagonal terms and the scalar control couplings and raises
-SingularSystem where that number is not finite or exceeds COND_LIMIT.
-:func:`solve_steady_state` is the bare batched solve.
+The two agree to 1e-10 wherever M is well conditioned (the test suite
+enforces this), and one conditioning guard serves both: it
+takes the Frobenius condition number of M from the same cofactors and
+raises SingularSystem where that number is not finite or exceeds
+COND_LIMIT.  :func:`solve_steady_state` is the bare batched solve.
 
 All functions broadcast over numpy arrays of detunings / velocity
 shifts, so a full (detuning grid) x (quadrature node) tensor can be
@@ -34,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,30 +157,40 @@ def build_system_matrix(s: SystemParams, dt: DenominatorTerms):
     return M
 
 
-def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
-    """Frobenius condition number ||M||_F * ||adj M||_F / |det M|, and det M.
+def _cofactor_expansion(s: SystemParams, dt: DenominatorTerms):
+    """det M, then the nine cofactors C00, C01, ..., C22 of M, one at a time.
 
-    Built from the diagonal terms and the scalar couplings, without
-    assembling M: ||M||_F^2 is |a1|^2 + |a2|^2 + |a3|^2 plus a constant,
-    each cofactor is a product of two diagonal terms, or a coupling
-    times one, plus a scalar, and det M is the row-0 expansion.  Equal
-    to the generic adjugate formula on the assembled matrix (the test
-    oracle) to rounding.
+    adj M = C^T.  Each cofactor is a product of two diagonal terms, or
+    a coupling times one, plus a scalar; det M is the row-0 expansion.
+    Yielded one by one, so a caller holds few (grid x node) arrays at once.
     """
     b, c, d, f, g, h = _couplings(s)
     a1, a2, a3 = dt.a1, dt.a2, dt.a3
-    c00 = a3 * a2 - f * h
-    c01 = f * g - d * a2
-    c02 = d * h - a3 * g
-    det = a1 * c00 + b * c01 + c * c02
-    norm_adj = np.sqrt(
-        np.abs(c02) ** 2 + np.abs(b * f - c * a3) ** 2
-        + np.abs(c00) ** 2 + np.abs(c01) ** 2 + np.abs(c * h - b * a2) ** 2
-        + np.abs(a1 * a2 - c * g) ** 2 + np.abs(b * g - a1 * h) ** 2
-        + np.abs(c * d - a1 * f) ** 2 + np.abs(a1 * a3 - b * d) ** 2)
+    row0 = (a3 * a2 - f * h, f * g - d * a2, d * h - a3 * g)
+    yield a1 * row0[0] + b * row0[1] + c * row0[2]
+    yield from row0
+    del row0
+    yield c * h - b * a2
+    yield a1 * a2 - c * g
+    yield b * g - a1 * h
+    yield b * f - c * a3
+    yield c * d - a1 * f
+    yield a1 * a3 - b * d
+
+
+def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
+    """Frobenius condition number ||M||_F * ||adj M||_F / |det M|, and det M.
+
+    Built without assembling M; equal to the generic adjugate formula
+    on the assembled matrix (the test oracle) to rounding.
+    """
+    expansion = _cofactor_expansion(s, dt)
+    det = next(expansion)
+    norm_adj = np.sqrt(sum(np.abs(x) ** 2 for x in expansion))
     # numpy scalars: the same pow, but inf on overflow instead of OverflowError
-    couplings = sum(np.float64(abs(x)) ** 2 for x in (b, c, d, f, g, h))
-    norm_m = np.sqrt(np.abs(a3) ** 2 + np.abs(a1) ** 2 + np.abs(a2) ** 2 + couplings)
+    couplings = sum(np.float64(abs(x)) ** 2 for x in _couplings(s))
+    norm_m = np.sqrt(np.abs(dt.a3) ** 2 + np.abs(dt.a1) ** 2 + np.abs(dt.a2) ** 2
+                     + couplings)
     return norm_m * norm_adj / np.abs(det), det
 
 
@@ -190,9 +199,8 @@ def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
 
     SingularSystem where det M = 0 or the Frobenius condition number
     exceeds COND_LIMIT (naming the shifted probe detuning at the worst
-    point); CouplingOverflow where the condition number is
-    not finite although det M is not 0 (products of huge detunings or
-    fields overflow).
+    point); CouplingOverflow where the condition number is not finite
+    although det M is not 0 (products of huge detunings or fields overflow).
     """
     with np.errstate(all="ignore"):  # overflow gives inf/nan, rejected below
         cond, det = _frobenius_cond(s, dt)
@@ -244,33 +252,24 @@ def steady_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficie
 
 
 def closed_form_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficients:
-    """Cross-check path: explicit algebraic beta coefficients.
+    """Cross-check path: the betas from the adjugate of M.
 
-    The common denominator is
+    Y = -(adj M) X / det M, so beta_ee = k*C00, beta_be = k*C01,
+    beta_eb = k*C10 and beta_bb = k*C11 with k = -(i/2) / det M.  The
+    common denominator of the physics literature is
         D = 2*(O1*O2*O3*sin(phi) - O1^2*A1 + O3^2*A2 + O2^2*A3
-             + 4*A1*A2*A3),
-    (the three-field interference term carries one power of each
-    control field).  The numerators were disambiguated against the
-    linear solve once and are locked in by the oracle-equivalence
-    tests.
+             + 4*A1*A2*A3) = 8 det M.
+    The guard of :func:`steady_betas` runs first, so both routes raise
+    the same named error on the same systems.
     """
     s = p.system
     dt = denominator_terms(s, sd)
-    a1, a2, a3 = np.broadcast_arrays(dt.a1, dt.a2, dt.a3)
-    o1, o2, o3, phi = s.omega_1, s.omega_2, s.omega_3, s.phi
-    D = 2.0 * (o1 * o2 * o3 * np.sin(phi) - o1 ** 2 * a1 + o3 ** 2 * a2
-               + o2 ** 2 * a3 + 4.0 * a1 * a2 * a3)
-    scale = 2.0 * (abs(o1 * o2 * o3) + o1 ** 2 * np.abs(a1) + o3 ** 2 * np.abs(a2)
-                   + o2 ** 2 * np.abs(a3) + 4.0 * np.abs(a1 * a2 * a3))
-    if np.any(np.abs(D) <= 1e-14 * scale):
-        raise SingularSystem("closed-form denominator vanishes")
-    eip = np.exp(1j * phi)
-    return CoherenceCoefficients(
-        beta_ee=-1j * (4.0 * a2 * a3 - o1 ** 2) / D,
-        beta_eb=-(1j * o1 * o2 + 2.0 * o3 * a2 * eip) / D,
-        beta_be=(1j * o1 * o2 - 2.0 * o3 * a2 / eip) / D,
-        beta_bb=-1j * (o2 ** 2 + 4.0 * a1 * a2) / D,
-    )
+    _check_conditioning(s, dt)
+    expansion = _cofactor_expansion(s, dt)
+    k = -0.5j / next(expansion)
+    c00, c01, _, c10, c11 = itertools.islice(expansion, 5)
+    return CoherenceCoefficients(beta_ee=k * c00, beta_eb=k * c10,
+                                 beta_be=k * c01, beta_bb=k * c11)
 
 
 @contextlib.contextmanager

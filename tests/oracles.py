@@ -15,10 +15,11 @@ from chiralight.params import C_LIGHT
 from chiralight.pulse import normalized
 
 
-def cond_frobenius(M):
-    """Frobenius condition number ||M||_F * ||M^-1||_F of a (..., 3, 3) stack.
+def cofactors(M):
+    """det M and the cofactors C00, C01, ..., C22 of a (..., 3, 3) stack.
 
-    Generic adjugate formula over all nine entries; inf where det M = 0.
+    Generic expansion over all nine entries; the cofactors are stacked
+    on a last axis of length 9 in row-major order.
     """
     a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
     d, e, f = M[..., 1, 0], M[..., 1, 1], M[..., 1, 2]
@@ -29,6 +30,15 @@ def cond_frobenius(M):
         c * h - b * i, a * i - c * g, b * g - a * h,
         b * f - c * e, c * d - a * f, a * e - b * d,
     ], axis=-1)
+    return det, cof
+
+
+def cond_frobenius(M):
+    """Frobenius condition number ||M||_F * ||M^-1||_F of a (..., 3, 3) stack.
+
+    Generic adjugate formula over all nine entries; inf where det M = 0.
+    """
+    det, cof = cofactors(M)
     norm_m = np.sqrt((np.abs(M) ** 2).sum(axis=(-2, -1)))
     norm_adj = np.sqrt((np.abs(cof) ** 2).sum(axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):

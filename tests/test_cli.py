@@ -53,6 +53,12 @@ def _assert_named_config_error(code, out, err, name):
 # argument parsing
 
 
+# Counts past numpy's array limit (intp max bytes of float64): 2^60 - 1
+# (its float is 2^60), 2^60, 1e20, 2^63 - 1 and 2^63.
+HUGE_COUNTS = ("1152921504606846975", "1152921504606846976", "100000000000000000000",
+               "9223372036854775807", "9223372036854775808")
+
+
 def test_parse_grid():
     grid = parse_grid("-10:10:2001")
     assert grid.size == 2001
@@ -61,6 +67,9 @@ def test_parse_grid():
         parse_grid("1:2")
     with pytest.raises(ConfigurationError):
         parse_grid("1:2:0")
+    for count in HUGE_COUNTS:
+        with pytest.raises(ConfigurationError, match="count too large$"):
+            parse_grid(f"0:1:{count}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +317,11 @@ def test_bad_grid_exits_2(capsys):
     code, _, err = run(capsys, "spectrum", "--preset", "fig2a",
                        "--grid", "1:2:0")
     assert code == 2
+    for count in HUGE_COUNTS:
+        code, _, err = run(capsys, "spectrum", "--preset", "fig2a",
+                           "--grid", f"0:1:{count}")
+        assert code == 2
+        assert f"bad --grid '0:1:{count}': count too large" in err
 
 
 def test_missing_config_file_exits_2(capsys):
@@ -638,7 +652,7 @@ def cold_argv(draw):
     command = draw(st.sampled_from(("spectrum", "delay", "pulse", "calibrate")))
     argv = [command, "--preset", "fig2a"]
     if command == "spectrum":
-        count = draw(st.sampled_from(("3", "0", "-1", "", "nan")))
+        count = draw(st.sampled_from(("3", "0", "-1", "", "nan") + HUGE_COUNTS))
         argv += ["--mode", "cold", "--grid",
                  f"{draw(st.sampled_from(EDGE + ('-1.5', '1e308', '-1e308')))}:"
                  f"{draw(st.sampled_from(EDGE + ('1.5', '1e308', '-1e308')))}:{count}"]

@@ -10,17 +10,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralight import errors, presets
 from chiralight.coherences import (COND_LIMIT, CoherenceCoefficients,
                                    DenominatorTerms, _check_conditioning,
-                                   _frobenius_cond, build_system_matrix,
+                                   _cofactor_expansion, _frobenius_cond,
+                                   build_system_matrix,
                                    closed_form_betas, denominator_terms,
                                    shift_detunings, steady_betas)
 from chiralight.params import MediumParams, SystemParams, validate, with_overrides
-from oracles import cond_frobenius
+from oracles import cofactors, cond_frobenius
 
 
 def _cfg(**system):
@@ -211,7 +212,8 @@ _sign = st.sampled_from((1.0, -1.0))
 )
 def test_structured_condition_number_matches_generic_oracle(
         o1, o2, o3, phi, g1, g2, g3, g4, dp, db, d1, d2, a1, a2, a3, kv):
-    """The guard's condition number equals the adjugate formula on M."""
+    """The guard's condition number and cofactors equal the adjugate
+    formula on M."""
     s = SystemParams(omega_1=o1, omega_2=o2, omega_3=o3, phi=phi,
                      gamma_1=g1, gamma_2=g2, gamma_3=g3, gamma_4=g4,
                      delta_p=dp, delta_b=db, delta_1=d1, delta_2=d2,
@@ -224,6 +226,11 @@ def test_structured_condition_number_matches_generic_oracle(
     want = cond_frobenius(build_system_matrix(s, dt))
     assert got.shape == want.shape == (3, 4)
     assert np.all(np.abs(got - want) <= 1e-12 * want)
+    expansion = list(_cofactor_expansion(s, dt))
+    assert len(expansion) == 10
+    det, cof = cofactors(build_system_matrix(s, dt))
+    for mine, generic in zip(expansion, [det] + list(np.moveaxis(cof, -1, 0))):
+        assert np.all(np.abs(mine - generic) <= 1e-12 * np.abs(generic))
     passes = bool(np.all(want <= COND_LIMIT))
     if passes:
         _check_conditioning(s, dt)
@@ -251,6 +258,57 @@ def test_oracle_equivalence_property(o1, o2, o3, g, phi, dp, db, d1, d2, kv):
         b = complex(np.asarray(getattr(closed, name)))
         scale = max(abs(a), abs(b), 1e-30)
         assert abs(a - b) / scale < 1e-10
+
+
+_any_control = st.one_of(st.just(0.0), st.floats(0, 10), st.floats(0, 1e200))
+_any_decay = st.one_of(st.floats(1e-13, 10), st.floats(1e-13, 1e200))
+_any_detuning = st.one_of(st.floats(-20, 20), st.floats(-1e200, 1e200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    o1=_any_control, o2=_any_control, o3=_any_control, phi=st.floats(0, 2 * math.pi),
+    g1=_any_decay, g2=_any_decay, g3=_any_decay, g4=_any_decay,
+    dp=_any_detuning, db=_any_detuning, d1=_any_detuning, d2=_any_detuning,
+    a1=_sign, a2=_sign, a3=_sign, kv=_any_detuning,
+)
+# controls off, all decays 1e-13: condition number 7.07e12
+@example(o1=0.0, o2=0.0, o3=0.0, phi=math.pi / 2, g1=1e-13, g2=1e-13, g3=1e-13,
+         g4=1e-13, dp=1.0, db=1.0, d1=0.0, d2=1.0, a1=1.0, a2=1.0, a3=1.0, kv=0.0)
+# products of the huge probe detuning overflow
+@example(o1=0.1, o2=1.0, o3=0.7, phi=math.pi / 2, g1=0.1, g2=0.1, g3=0.1,
+         g4=0.1, dp=1e200, db=0.0, d1=0.0, d2=0.0, a1=1.0, a2=1.0, a3=1.0, kv=0.0)
+# condition number ~10, but beta_ee is 1e-9 beside a beta_bb of 2
+@example(o1=0.0, o2=0.0, o3=1.0, phi=0.0, g1=1e-9, g2=1e-13, g3=1.0,
+         g4=1.0, dp=1.0, db=0.0, d1=0.0, d2=0.0, a1=1.0, a2=1.0, a3=1.0, kv=0.0)
+def test_both_routes_reject_the_same_systems(
+        o1, o2, o3, phi, g1, g2, g3, g4, dp, db, d1, d2, a1, a2, a3, kv):
+    """The solve and the closed form raise the same named error, or agree.
+
+    Agreement is norm-wise, to 1e-10 of the largest beta: LU is accurate
+    to rounding relative to the norm of M^-1, not entry by entry (in the
+    third example beta_ee differs by 2.5e-9 of itself).
+    """
+    cfg = _cfg(omega_1=o1, omega_2=o2, omega_3=o3, phi=phi,
+               gamma_1=g1, gamma_2=g2, gamma_3=g3, gamma_4=g4,
+               delta_p=dp, delta_b=db, delta_1=d1, delta_2=d2,
+               alpha_1=a1, alpha_2=a2, alpha_3=a3)
+    sd = shift_detunings(cfg.system, kv)
+    outcomes = []
+    for path in (steady_betas, closed_form_betas):
+        try:
+            outcomes.append(path(cfg, sd))
+        except errors.NumericalError as exc:
+            outcomes.append(type(exc))
+    solved, closed = outcomes
+    if isinstance(solved, type) or isinstance(closed, type):
+        assert solved is closed
+        return
+    names = ("beta_ee", "beta_eb", "beta_be", "beta_bb")
+    pairs = [(complex(getattr(solved, n)), complex(getattr(closed, n))) for n in names]
+    scale = max(max(abs(a), abs(b)) for a, b in pairs)
+    for name, (a, b) in zip(names, pairs):
+        assert abs(a - b) <= 1e-10 * scale, (name, a, b)
 
 
 # ---------------------------------------------------------------------------
