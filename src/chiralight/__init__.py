@@ -16,8 +16,9 @@ params       validated system/medium parameter sets, JSON config I/O
 coherences   steady-state coherence solve and closed-form coefficients
 response     susceptibilities and chirality coefficients
 doppler      thermal (Maxwell-Boltzmann) velocity averaging
-optics       refractive/group index, delays, crossover, calibration
-pulse        Gaussian pulse spectra, dispersion, propagation, metrics
+optics       refractive/group index, delays, crossover, calibration,
+             first-order dispersion data
+pulse        Gaussian pulse spectra, propagation, metrics
 presets      named parameter sets for the documented scenarios
 cli          command-line front end (`chiralight`)
 """
@@ -28,14 +29,15 @@ from .coherences import (CoherenceCoefficients, DenominatorTerms,
                          steady_betas)
 from .errors import ChiralightError, ConfigurationError, NumericalError
 from .optics import (DispersionPoint, calibrate_coupling, delay_table,
-                     group_index_at, group_index_curve, refractive_index,
+                     dispersion_coefficients, group_index_at,
+                     group_index_curve, refractive_index,
                      superluminal_crossover)
 from .params import (MediumParams, SystemParams, ValidatedConfig,
                      derived_couplings, load_config, validate, with_overrides)
 from .response import OpticalResponse, response_at, spectrum
 from .doppler import doppler_average, hot_response
-from .pulse import (PulseSpec, PulseTrace, dispersion_coefficients,
-                    propagate_analytic, propagate_numeric, pulse_metrics)
+from .pulse import (PulseSpec, PulseTrace, propagate_analytic,
+                    propagate_numeric, pulse_metrics)
 
 __version__ = "0.1.0"
 
@@ -50,7 +52,8 @@ __all__ = [
     "doppler_average", "hot_response",
     "DispersionPoint", "refractive_index", "group_index_curve", "group_index_at",
     "delay_table", "superluminal_crossover", "calibrate_coupling",
-    "PulseSpec", "PulseTrace", "dispersion_coefficients",
-    "propagate_analytic", "propagate_numeric", "pulse_metrics",
+    "dispersion_coefficients",
+    "PulseSpec", "PulseTrace", "propagate_analytic", "propagate_numeric",
+    "pulse_metrics",
     "__version__",
 ]

@@ -252,7 +252,7 @@ def _pulse_series(args, cfg, scenario, modes):
         if scenario is not None and scenario.pulse_constants:
             coeff = presets.pulse_dispersion_si(scenario, mode)
         else:
-            coeff = pulse_mod.dispersion_coefficients(cfg, mode=mode)
+            coeff = optics.dispersion_coefficients(cfg, mode=mode)
         series.append((mode, coeff["n_0"], coeff["g_vd"]))
     return series
 
@@ -272,14 +272,15 @@ def cmd_pulse(args) -> int:
     trace_in = pulse_mod.input_envelope(ps, t)
     outputs = [pulse_mod.propagate_analytic(ps, n_0, g_vd, L, t=t)
                for _, n_0, g_vd in series]
-    spectra = [pulse_mod.input_spectrum(ps, nu)] + [
-        pulse_mod.output_spectrum(ps, n_0, g_vd, L, nu=nu) for _, n_0, g_vd in series]
+    # real n_0 and g_vd make |exp(-i k(nu) L)| = 1: every output
+    # spectrum has the input's power
+    spectrum = pulse_mod.input_spectrum(ps, nu)
 
     keys = ["input"] + [label for label, _, _ in series]
     step = 1 if args.full else max(1, pulse_mod.N_SAMPLES // 2048)
     rows = []
     for section, x, traces in (("time", t / ps.tau_0, [trace_in] + outputs),
-                               ("frequency", nu / ps.delta_w, spectra)):
+                               ("frequency", nu / ps.delta_w, [spectrum] * len(keys))):
         cols = [np.abs(pulse_mod.normalized(tr.samples)) ** 2 for tr in traces]
         for i in range(0, x.size, step):
             rows.append({"section": section, "x": x[i],
@@ -437,17 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--grid", "--vd", "--omega3", "--omega3-range", "--bracket",
-                "--target", "--delta-p", "--delta", "--tau0", "--tol"}
-
-
 def _join_negative_values(argv):
-    """Let flags accept leading-minus values (`--grid -10:10:2001`)."""
+    """Let flags accept leading-minus values (`--grid -10:10:2001`).
+
+    Decided by shape, so abbreviated flags (`--gr -1:1:3`) work too:
+    after a `--flag` token without `=`, a token that starts with a
+    single `-` (other than `-h`) is that flag's value.
+    """
     out, i = [], 0
     while i < len(argv):
-        a = argv[i]
-        if a in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1][:1] == "-":
-            out.append(a + "=" + argv[i + 1])
+        a, value = argv[i], (argv[i + 1] if i + 1 < len(argv) else "")
+        if (a[:2] == "--" and len(a) > 2 and "=" not in a
+                and value[:1] == "-" and value[:2] != "--" and value != "-h"):
+            out.append(a + "=" + value)
             i += 2
         else:
             out.append(a)

@@ -16,9 +16,11 @@ the real part only at the end:
 
 with dn/dDelta_p from Richardson-extrapolated central differences.
 Group velocity and delay follow definitionally: v_g = c/N_g and
-tau = L*(N_g - 1)/c (negative = advance).  The crossover and the
-calibration find their roots with Brent's method (``_brent``), which
-follows SciPy's brentq bit for bit without importing SciPy.
+tau = L*(N_g - 1)/c (negative = advance).  The first-order dispersion
+data of a pulse (n_0, g_vd) come from the same stencil at band center.
+The crossover and the calibration find their roots with Brent's
+method (``_brent``), which follows SciPy's brentq bit for bit without
+importing SciPy.
 """
 
 from __future__ import annotations
@@ -197,6 +199,20 @@ def group_index_at(cfg: ValidatedConfig, delta_p: float,
     curve = group_index_curve(cfg, [delta_p], mode=mode)
     return DispersionPoint(*(np.asarray(getattr(curve, f.name))[0].item()
                              for f in curve.__dataclass_fields__.values()))
+
+
+def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold") -> dict:
+    """First-order dispersion data of the medium at band center.
+
+    n_0 is the group index at zero probe detuning; g_vd (SI s^2/m) is
+    (1/c) dN_g/domega there, with the detuning-to-frequency mapping
+    omega = omega_0 + Delta_p*gamma_unit.
+    """
+    h = DEFAULT_STEP
+    ng = group_index_curve(cfg, h * _STENCIL, mode=mode).N_g
+    dng, _ = _richardson(ng[0], ng[1], ng[3], ng[4], h)
+    g_vd = dng / (C_LIGHT * cfg.medium.gamma_unit)
+    return {"n_0": float(ng[2]), "g_vd": float(g_vd)}
 
 
 def group_index(grid, n_complex, omega_14):

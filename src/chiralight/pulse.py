@@ -144,21 +144,6 @@ def input_spectrum(ps: PulseSpec, nu) -> PulseTrace:
     return PulseTrace(grid=nu, samples=samples)
 
 
-def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold") -> dict:
-    """First-order dispersion data of the medium at band center.
-
-    n_0 is the group index at zero probe detuning; g_vd (SI s^2/m) is
-    (1/c) dN_g/domega there, with the detuning-to-frequency mapping
-    omega = omega_0 + Delta_p*gamma_unit.
-    """
-    h = optics.DEFAULT_STEP
-    curve = optics.group_index_curve(cfg, h * optics._STENCIL, mode=mode)
-    ng = curve.N_g
-    dng, _ = optics._richardson(ng[0], ng[1], ng[3], ng[4], h)
-    g_vd = dng / (C_LIGHT * cfg.medium.gamma_unit)
-    return {"n_0": float(ng[2]), "g_vd": float(g_vd)}
-
-
 def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec, mode: str = "cold"):
     """k(nu) - k(0) sampled from the full complex chiral index (1/m).
 
@@ -226,22 +211,6 @@ def _check_wraparound(samples):
         raise AliasingDetected(
             f"window-edge energy fraction {fraction:.3e} exceeds "
             f"{EDGE_ENERGY_TOL:g}; widen the time window")
-
-
-def output_spectrum(ps: PulseSpec, n_0: float, g_vd: float, L: float,
-                    nu) -> PulseTrace:
-    """Frequency-domain output on nu under first-order dispersion.
-
-    Product of the input spectrum and the quadratic-phase transfer
-    function, with the sqrt(2)*pi/Delta_w normalization kept verbatim
-    (for Delta_w = 2 pi/tau_0 it equals the input prefactor
-    tau_0/sqrt(2), so L = 0 reduces exactly to the input spectrum).
-    """
-    prefactor = np.sqrt(2.0) * np.pi / ps.delta_w
-    phase = (n_0 * nu + 0.5 * C_LIGHT * g_vd * nu ** 2) * L / C_LIGHT
-    samples = (prefactor * np.exp(-((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
-               * np.exp(-1j * phase))
-    return PulseTrace(grid=nu, samples=samples)
 
 
 def normalized(samples) -> np.ndarray:

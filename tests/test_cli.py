@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chiralight
-from chiralight import optics, presets
+from chiralight import optics, presets, pulse
 from chiralight.cli import _fmt, _jsonable, main, parse_grid
 from chiralight.errors import ConfigurationError
 from chiralight.params import C_LIGHT, MediumParams, SystemParams
@@ -70,6 +70,18 @@ def test_parse_grid():
     for count in HUGE_COUNTS:
         with pytest.raises(ConfigurationError, match="count too large$"):
             parse_grid(f"0:1:{count}")
+
+
+@pytest.mark.parametrize("abbreviated, full", [
+    (("spectrum", "--preset", "fig2a", "--gr", "-1:1:3"),
+     ("spectrum", "--preset", "fig2a", "--grid", "-1:1:3")),
+    (("pulse", "--preset", "fig8ab", "--del", "-1e9"),
+     ("pulse", "--preset", "fig8ab", "--delta", "-1e9")),
+])
+def test_abbreviated_flag_takes_a_negative_value(capsys, abbreviated, full):
+    code, out, err = run(capsys, *abbreviated)
+    assert code == 0, err
+    assert out == run(capsys, *full)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +256,22 @@ def test_pulse_preset_peak_separation(capsys):
     for label in ("cold", "hot"):
         assert float(metrics["width_ratio"][label]) == pytest.approx(1.0, rel=1e-4)
         assert float(metrics["distortion"][label]) < 1e-4
+
+
+@pytest.mark.parametrize("argv", [
+    ("--preset", "fig8ab"), ("--preset", "fig8cd"),
+    ("--preset", "fig8ab", "--tau0", "6.82", "--vacuum")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pulse_output_spectra_are_the_input_spectrum(capsys, argv, fmt):
+    # |exp(-i k L)| = 1 for real n_0 and g_vd: every output spectrum has
+    # the input's power, so each frequency row repeats its input cell
+    code, out, _ = run(capsys, "pulse", *argv, "--full", "--format", fmt)
+    assert code == 0
+    rows = json.loads(out) if fmt == "json" else parse_csv(out)[1]
+    spectrum = [r for r in rows if r["section"] == "frequency"]
+    assert len(spectrum) == pulse.N_SAMPLES
+    for row in spectrum:
+        assert {row[k] for k in row if k not in ("section", "x")} == {row["input"]}
 
 
 # ---------------------------------------------------------------------------

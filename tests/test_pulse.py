@@ -74,10 +74,6 @@ def test_zero_length_is_identity():
     out = pulse.propagate_analytic(ps, 1415.65, 2.5e-15, 0.0, t)
     assert np.allclose(out.samples, pulse.input_envelope(ps, t).samples,
                        rtol=1e-12)
-    nu = pulse.frequency_grid(ps, t)
-    spec0 = pulse.output_spectrum(ps, 1415.65, 2.5e-15, 0.0, nu)
-    assert np.allclose(spec0.samples, pulse.input_spectrum(ps, nu).samples,
-                       rtol=1e-12)
 
 
 def test_vacuum_delay_is_transit_time():
@@ -132,9 +128,10 @@ def test_output_spectrum_is_transform_of_analytic_envelope():
     t = pulse.time_grid(ps, expected_peaks=(0.0, Tg))
     analytic = pulse.propagate_analytic(ps, n_0, g_vd, L, t)
     nu, spec = dft(t, analytic.samples)
-    ref = pulse.output_spectrum(ps, n_0, g_vd, L, nu)
-    assert l2_difference(spec, ref.samples) < 1e-6
-    back = pulse.idft(t, nu, ref.samples * np.sqrt(2.0 * np.pi))
+    ref = (pulse.input_spectrum(ps, nu).samples
+           * np.exp(-1j * quadratic_wavenumber(n_0, g_vd)(nu) * L))
+    assert l2_difference(spec, ref) < 1e-6
+    back = pulse.idft(t, nu, ref * np.sqrt(2.0 * np.pi))
     assert l2_difference(back, analytic.samples) < 1e-6
 
 
@@ -151,7 +148,7 @@ def test_medium_wavenumber_consistent_with_dispersion_layer():
     pts = np.real(k_rel(np.array([-2 * h, -h, h, 2 * h])))
     slope = (8 * (pts[2] - pts[1]) - (pts[3] - pts[0])) / (12 * h)
     curv = (pts[2] + pts[1]) / h ** 2  # k(0) = 0 by construction
-    coeff = pulse.dispersion_coefficients(cfg, mode="cold")
+    coeff = optics.dispersion_coefficients(cfg, mode="cold")
     n_g0 = optics.group_index_at(cfg, 0.0, mode="cold").N_g
     assert slope * C_LIGHT == pytest.approx(n_g0, rel=1e-5)
     assert coeff["n_0"] == pytest.approx(n_g0, rel=1e-9)
