@@ -21,14 +21,21 @@ second quadrature and against an all-node evaluation.
 Integrands return a sequence of component arrays (last axis = kv) and
 averages come back as a tuple.  Reductions use numpy's pairwise
 summation over all n nodes of a level in a fixed order, the skipped
-ones as exact zeros, so results are deterministic.  SciPy (the
-Gauss-Hermite nodes) is imported on the first hot average, so cold runs
-never load it.
+ones as exact zeros, so results are deterministic.
+
+The nodes and weights are not computed at run time: they are read from
+``gauss_hermite.npz`` in this package on the first hot average, never
+at import.  The table holds ``scipy.special.roots_hermite(n)`` for each
+ladder level (Golub-Welsch below 150 nodes, the Townsend-Trogdon-Olver
+asymptotic rule from 150 on), written by ``tests/make_hermite_table.py``
+and checked against SciPy bit for bit by the test suite, so the package
+needs numpy only.
 """
 
 from __future__ import annotations
 
 import functools
+from importlib import resources
 
 import numpy as np
 
@@ -54,18 +61,27 @@ MAX_NODES = 16384
 _GROUP_SIZE = 61
 _BLOCK_BUDGET = 16384
 
+# per ladder level n: the positive weighted nodes x{n}, their weights
+# w{n} and the outermost node top{n}
+_TABLE = "gauss_hermite.npz"
+
 
 @functools.cache
 def _hermite(n: int):
-    """Nodes x, weights w and the slice lo:hi of the weights that are not 0.0.
+    """Weighted nodes x[lo:hi], full-width weights w, lo, hi and x[-1].
 
     exp(-x^2) underflows past |x| ~ 27, so from 512 nodes on the outer
     weights are exactly zero (at 8192 nodes only 2192 carry weight).
+    The table holds the positive half; the rule is symmetric bit for
+    bit, so mirroring rebuilds the rest exactly.
     """
-    from scipy.special import roots_hermite
-    x, w = roots_hermite(n)
-    live = np.flatnonzero(w)
-    return x, w, int(live[0]), int(live[-1]) + 1
+    with resources.files(__package__).joinpath(_TABLE).open("rb") as fh, \
+            np.load(fh) as table:
+        half_x, half_w, top = table[f"x{n}"], table[f"w{n}"], float(table[f"top{n}"])
+    lo, hi = n // 2 - half_x.size, n // 2 + half_x.size
+    w = np.zeros(n)
+    w[lo:hi] = np.concatenate((half_w[::-1], half_w))
+    return np.concatenate((-half_x[::-1], half_x)), w, lo, hi, top
 
 
 def _weighted_sum(c, w, lo, hi):
@@ -109,15 +125,17 @@ def doppler_average(f, v_d: float):
     prev = None
     n = NODE_COUNT
     while n <= MAX_NODES:
-        x, w, lo, hi = _hermite(n)
-        # the nodes are sorted and symmetric, so x[-1] is the largest
-        if not np.isfinite(v_d * float(x[-1])):
+        x, w, lo, hi, top = _hermite(n)
+        # the nodes are sorted and symmetric, so top = x[-1] is the largest
+        if not np.isfinite(v_d * top):
             raise CouplingOverflow(f"Gauss-Hermite nodes overflow at v_d = {v_d:g}")
-        vals = f(v_d * x[lo:hi])
+        vals = f(v_d * x)
         cur = np.array([_weighted_sum(c, w, lo, hi) for c in vals]) / np.sqrt(np.pi)
-        floor = [_weighted_sum(np.abs(c), w, lo, hi).max() / np.sqrt(np.pi) for c in vals]
-        if prev is not None and _rel_change(cur, prev, floor) < REL_TOL:
-            return tuple(cur)
+        if prev is not None:
+            floor = [_weighted_sum(np.abs(c), w, lo, hi).max() / np.sqrt(np.pi)
+                     for c in vals]
+            if _rel_change(cur, prev, floor) < REL_TOL:
+                return tuple(cur)
         prev = cur
         n *= 2
     raise QuadratureNotConverged(

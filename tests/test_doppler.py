@@ -172,6 +172,34 @@ def test_zero_weight_nodes_skipped_bit_for_bit(v_d, delta_p, alphas):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
+LADDER = [doppler.NODE_COUNT << k
+          for k in range((doppler.MAX_NODES // doppler.NODE_COUNT).bit_length())]
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_node_table_is_roots_hermite_bit_for_bit(n):
+    """The shipped table rebuilds SciPy's rule exactly at every level."""
+    x, w = roots_hermite(n)
+    live = np.flatnonzero(w)
+    lo, hi = int(live[0]), int(live[-1]) + 1
+    got_x, got_w, got_lo, got_hi, top = doppler._hermite(n)
+    assert (got_lo, got_hi) == (lo, hi)
+    assert got_x.tobytes() == x[lo:hi].tobytes()
+    assert got_w.tobytes() == w.tobytes()
+    assert np.float64(top).tobytes() == x[-1].tobytes()
+
+
+def test_node_table_ships_in_the_package():
+    """The table resolves as package data and holds the ladder levels only."""
+    from importlib import resources
+    table = resources.files("chiralight").joinpath(doppler._TABLE)
+    assert table.is_file()
+    with table.open("rb") as fh, np.load(fh) as data:
+        keys = set(data.files)
+    assert LADDER[0] == 64 and LADDER[-1] == 16384
+    assert keys == {f"{k}{n}" for n in LADDER for k in ("x", "w", "top")}
+
+
 def test_only_weighted_nodes_are_evaluated():
     """Every kv handed to the integrand is v_d * x_i with w_i != 0, each
     level sees all of those nodes, and from 512 nodes on fewer than n."""
