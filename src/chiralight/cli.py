@@ -105,6 +105,13 @@ def parse_float_list(text: str, flag: str) -> list:
     return values
 
 
+def _float_list(text, flag, listed, default) -> list:
+    """The flag's comma-separated values, else the preset's list, else [default]."""
+    if text is not None:
+        return parse_float_list(text, flag)
+    return list(listed) if listed else [default]
+
+
 def _resolve(args):
     """Build the working config from --preset and/or --config.
 
@@ -112,10 +119,8 @@ def _resolve(args):
     field by field.
     """
     scenario = presets.get(args.preset) if args.preset else None
-    if scenario is not None:
-        cfg = scenario.config()
-    else:
-        cfg = validate(SystemParams(), MediumParams())
+    cfg = (scenario.config() if scenario is not None
+           else validate(SystemParams(), MediumParams()))
     if args.config:
         cfg = load_config(args.config, base=cfg)
     return cfg, scenario
@@ -154,12 +159,17 @@ def _write_json(args, doc) -> int:
     return _write(args, json.dumps(_jsonable(doc), indent=2) + "\n")
 
 
-def _emit(args, columns, rows):
-    """Write rows (list of dicts) as CSV or JSON with %.12g formatting."""
+def _emit(args, table):
+    """Write a {column name: cells} table as CSV or JSON records.
+
+    The columns are numpy arrays or lists of one length; None is an
+    empty CSV cell and a JSON null.  Numbers print with %.12g in CSV.
+    """
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in table.values()), strict=True)
     if args.format == "json":
-        return _write_json(args, [{k: r.get(k) for k in columns} for r in rows])
-    lines = [",".join(columns)] + [
-        ",".join(_fmt(r.get(k)) for k in columns) for r in rows]
+        return _write_json(args, [dict(zip(table, row)) for row in rows])
+    lines = [",".join(table)] + [",".join(map(_fmt, row)) for row in rows]
     return _write(args, "\n".join(lines) + "\n")
 
 
@@ -168,35 +178,27 @@ def _emit(args, columns, rows):
 def cmd_spectrum(args) -> int:
     cfg, scenario = _resolve(args)
     grid = parse_grid(args.grid)
-    modes = _modes(args, scenario)
-
-    if args.vd is not None:
-        vd_list = parse_float_list(args.vd, "--vd")
-    elif scenario is not None and scenario.vd_list:
-        vd_list = list(scenario.vd_list)
-    else:
-        vd_list = [cfg.medium.v_doppler]
+    vd_list = _float_list(args.vd, "--vd", scenario and scenario.vd_list,
+                          cfg.medium.v_doppler)
 
     names = ("chi_e", "chi_m", "xi_eh", "xi_he")  # resp.components() order
     columns = ["delta_p", "mode", "v_doppler",
                *(f"{part}_{name}" for name in names for part in ("re", "im")),
                "n_r", "n_g"]
-    rows = []
-    for mode in modes:
+    series = []
+    for mode in _modes(args, scenario):
         # a thermal-width sweep only distinguishes hot curves; the cold
         # response is independent of v_doppler, so emit it once
-        sweep = vd_list if mode == "hot" else vd_list[:1]
-        for vd in sweep:
+        for vd in (vd_list if mode == "hot" else vd_list[:1]):
             c = with_overrides(cfg, medium={"v_doppler": float(vd)})
             curve, resp = optics.group_index_curve(
                 c, grid, mode=mode, return_response=True)
-            cols = {"n_r": curve.n_r, "n_g": curve.N_g}
-            for name, comp in zip(names, resp.components()):
-                cols["re_" + name], cols["im_" + name] = comp.real, comp.imag
-            for i, d in enumerate(grid):
-                rows.append({"delta_p": float(d), "mode": mode, "v_doppler": float(vd),
-                             **{k: v[i] for k, v in cols.items()}})
-    return _emit(args, columns, rows)
+            series.append((grid, np.full(grid.size, mode), np.full(grid.size, float(vd)),
+                           *(part(comp) for comp in resp.components()
+                             for part in (np.real, np.imag)),
+                           curve.n_r, curve.N_g))
+    return _emit(args, {k: np.concatenate(cells)
+                        for k, cells in zip(columns, zip(*series))})
 
 
 # -------------------------------------------------------------------- delay
@@ -204,13 +206,8 @@ def cmd_spectrum(args) -> int:
 def cmd_delay(args) -> int:
     cfg, scenario = _resolve(args)
     modes = _modes(args, scenario)
-
-    if args.omega3 is not None:
-        omega3s = parse_float_list(args.omega3, "--omega3")
-    elif scenario is not None and scenario.omega3_list:
-        omega3s = list(scenario.omega3_list)
-    else:
-        omega3s = [cfg.system.omega_3]
+    omega3s = _float_list(args.omega3, "--omega3", scenario and scenario.omega3_list,
+                          cfg.system.omega_3)
 
     base = scenario.name if scenario is not None else "config"
     scenarios = []
@@ -220,8 +217,8 @@ def cmd_delay(args) -> int:
     rows = optics.delay_table(scenarios)
     for row, (_, c, _) in zip(rows, scenarios):
         row["omega_3"] = c.system.omega_3
-    columns = ["scenario", "omega_3", "mode", "n_g", "v_g", "tau_ns", "error"]
-    return _emit(args, columns, rows)
+    return _emit(args, {k: [row[k] for row in rows] for k in
+                        ("scenario", "omega_3", "mode", "n_g", "v_g", "tau_ns", "error")})
 
 
 # ---------------------------------------------------------------- crossover
@@ -235,10 +232,8 @@ def cmd_crossover(args) -> int:
     else:
         lo, hi = 1.5, 5.0
     star = optics.superluminal_crossover(cfg, lo, hi, xtol=args.tol)
-    columns = ["omega3_lo", "omega3_hi", "xtol", "omega3_star"]
-    rows = [{"omega3_lo": lo, "omega3_hi": hi, "xtol": args.tol,
-             "omega3_star": star}]
-    return _emit(args, columns, rows)
+    return _emit(args, {"omega3_lo": [lo], "omega3_hi": [hi], "xtol": [args.tol],
+                        "omega3_star": [star]})
 
 
 # -------------------------------------------------------------------- pulse
@@ -258,43 +253,42 @@ def _pulse_series(args, cfg, scenario, modes):
 
 
 def cmd_pulse(args) -> int:
+    """|envelope|^2 of the input and each series in a time and a frequency
+    section (every step-th sample, all with --full), then five metric
+    rows with None under input."""
     cfg, scenario = _resolve(args)
     modes = _modes(args, scenario)
     ps = pulse_mod.PulseSpec(tau_0=args.tau0 * 1e-9, delta=args.delta)
     L = cfg.medium.length_L
     series = _pulse_series(args, cfg, scenario, modes)
 
-    peaks = [0.0]
-    for _, n_0, g_vd in series:
-        peaks.append(L * n_0 / C_LIGHT + g_vd * L * ps.delta)
-    t = pulse_mod.time_grid(ps, expected_peaks=peaks)
+    peaks = [L * n_0 / C_LIGHT + g_vd * L * ps.delta for _, n_0, g_vd in series]
+    t = pulse_mod.time_grid(ps, expected_peaks=[0.0] + peaks)
     nu = np.sort(pulse_mod.frequency_grid(ps, t))  # band check before any trace
     trace_in = pulse_mod.input_envelope(ps, t)
     outputs = [pulse_mod.propagate_analytic(ps, n_0, g_vd, L, t=t)
                for _, n_0, g_vd in series]
+    keys = ["input"] + [label for label, _, _ in series]
     # real n_0 and g_vd make |exp(-i k(nu) L)| = 1: every output
     # spectrum has the input's power
-    spectrum = pulse_mod.input_spectrum(ps, nu)
+    *power, spectrum = [np.abs(pulse_mod.normalized(tr.samples)) ** 2 for tr in
+                        [trace_in, *outputs, pulse_mod.input_spectrum(ps, nu)]]
 
-    keys = ["input"] + [label for label, _, _ in series]
     step = 1 if args.full else max(1, pulse_mod.N_SAMPLES // 2048)
-    rows = []
-    for section, x, traces in (("time", t / ps.tau_0, [trace_in] + outputs),
-                               ("frequency", nu / ps.delta_w, [spectrum] * len(keys))):
-        cols = [np.abs(pulse_mod.normalized(tr.samples)) ** 2 for tr in traces]
-        for i in range(0, x.size, step):
-            rows.append({"section": section, "x": x[i],
-                         **{k: c[i] for k, c in zip(keys, cols)}})
-
-    metric_rows = [{"section": "metric", "x": name, "input": None} for name in
-                   ("peak_shift_ns", "width_ratio", "distortion", "n_0", "g_vd_si")]
+    metrics = ["peak_shift_ns", "width_ratio", "distortion", "n_0", "g_vd_si"]
+    table = {"section": [], "x": [], **{k: [] for k in keys}}
+    for section, x, cols in (("time", t / ps.tau_0, power),
+                             ("frequency", nu / ps.delta_w, [spectrum] * len(keys))):
+        table["section"] += [section] * x[::step].size
+        for k, cells in zip(["x", *keys], [x, *cols]):
+            table[k] += cells[::step].tolist()
+    table["section"] += ["metric"] * len(metrics)
+    table["x"] += metrics
+    table["input"] += [None] * len(metrics)
     for (label, n_0, g_vd), trace in zip(series, outputs):
         m = pulse_mod.pulse_metrics(trace_in, trace)
-        values = (m["peak_shift"] * 1e9, m["width_ratio"], m["distortion"], n_0, g_vd)
-        for row, value in zip(metric_rows, values):
-            row[label] = value
-    rows.extend(metric_rows)
-    return _emit(args, ["section", "x"] + keys, rows)
+        table[label] += [m["peak_shift"] * 1e9, m["width_ratio"], m["distortion"], n_0, g_vd]
+    return _emit(args, table)
 
 
 # ---------------------------------------------------------------- calibrate
@@ -334,13 +328,8 @@ def cmd_calibrate(args) -> int:
 # -------------------------------------------------------------- preset-dump
 
 def cmd_preset_dump(args) -> int:
-    wanted = []
-    for name in (args.names or sorted(presets.CATALOG)):
-        if name in presets.FIGURE_GROUPS and name not in presets.CATALOG:
-            wanted.extend(presets.FIGURE_GROUPS[name])
-        else:
-            wanted.append(name)
-    records = {rec["name"]: rec for rec in map(presets.dump, wanted)}
+    records = {rec["name"]: rec for name in (args.names or sorted(presets.CATALOG))
+               for rec in map(presets.dump, presets.expand(name))}
     payload = records[next(iter(records))] if len(records) == 1 else records
     return _write_json(args, payload)
 
@@ -413,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("calibrate",
                         help="solve the density coupling for a target "
                         "group index (JSON output)")
-    p.add_argument("--preset", help="built-in scenario name")
-    p.add_argument("--config", help="JSON config file")
+    _add_common(p, mode=False, fmt=False)
     p.add_argument("--target", type=float, required=True,
                    help="group-index value to reproduce")
     p.add_argument("--quantity", choices=("N_g", "n_0"), default="N_g",
@@ -425,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probe detuning (default: the config's delta_p)")
     p.add_argument("--bracket", default="1e-8:1e4",
                    help="kappa_e search bracket lo:hi (default %(default)s)")
-    p.add_argument("--out", help="write to this file instead of stdout")
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("preset-dump",

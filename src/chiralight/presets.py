@@ -190,6 +190,17 @@ def get(name: str) -> Scenario:
         ) from None
 
 
+def expand(name: str) -> tuple:
+    """The presets a name, alias or figure group stands for (a group
+    that is no preset expands: `fig7` here is all of Fig. 7, not fig7e)."""
+    if name in FIGURE_GROUPS and name not in CATALOG:
+        return FIGURE_GROUPS[name]
+    if ALIASES.get(name, name) not in CATALOG:
+        raise ConfigurationError(f"unknown preset {name!r}; available: {', '.join(names())}"
+                                 f"; figure groups: {', '.join(FIGURE_GROUPS)}")
+    return (name,)
+
+
 def pulse_dispersion_si(scenario: Scenario, mode: str) -> dict:
     """The scenario's quoted dispersion constants in SI units.
 

@@ -6,6 +6,7 @@ back and cross-checked against the library, and the exit-code contract
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -147,8 +148,17 @@ def test_spectrum_output_is_deterministic(capsys):
     assert first_json == second_json
 
 
-def test_spectrum_json_mirrors_csv(capsys):
-    argv = ("spectrum", "--preset", "fig2a", "--grid", "-1:1:5")
+ERROR_ROWS = ("--config", str(FIXTURES / "config_error_rows.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--preset", "fig2a", "--grid", "-1:1:5"),
+    ("delay", "--preset", "fig2a", *ERROR_ROWS, "--omega3", "0.001,0.7", "--mode", "cold"),
+    ("crossover", "--preset", "fig7", "--omega3-range", "3:4"),
+    ("pulse", "--preset", "fig8ab"),
+], ids=lambda argv: argv[0])
+def test_json_mirrors_csv(capsys, argv):
+    # every JSON value prints as its CSV cell, and null is the empty cell
     _, out_csv, _ = run(capsys, *argv)
     _, out_json, _ = run(capsys, *argv, "--format", "json")
     header, rows = parse_csv(out_csv)
@@ -156,9 +166,9 @@ def test_spectrum_json_mirrors_csv(capsys):
     assert len(doc) == len(rows)
     for rec, row in zip(doc, rows):
         assert list(rec) == header
-        assert rec["mode"] == row["mode"]
-        for key in ("delta_p", "re_chi_e", "im_chi_e", "n_r", "n_g"):
-            assert rec[key] == pytest.approx(float(row[key]), rel=1e-11)
+        for key in header:
+            assert _fmt(rec[key]) == row[key]
+            assert (rec[key] is None) == (row[key] == "")
 
 
 def test_out_file_writes_same_bytes(tmp_path, capsys):
@@ -193,6 +203,24 @@ def test_delay_omega3_by_mode_rows(capsys):
         n_g, tau = float(r["n_g"]), float(r["tau_ns"])
         assert tau == pytest.approx(
             cfg.medium.length_L * (n_g - 1.0) / C_LIGHT * 1e9, rel=1e-9)
+
+
+def test_delay_error_rows_are_unchanged(capsys):
+    # at 1e-3 linewidths and Rabi frequencies the 1e-3 stencil fails on
+    # both rows: their numeric cells are empty and the error is named
+    argv = ("delay", "--preset", "fig2a", *ERROR_ROWS, "--omega3", "0.001,0.7",
+            "--mode", "cold")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r["error"].split(":")[0] for r in rows] == ["BranchJump", "GridTooCoarse"]
+    assert {r[k] for r in rows for k in ("n_g", "v_g", "tau_ns")} == {""}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "027c179d09902e5db5f0fac32ebdd1a46273b6dce6f79a9135e11fd3f5d7655d")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3736f9c24c09e905c6f7d484e50184d1d9f9a0193463540b0dc4b866442f380c")
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +349,14 @@ def test_preset_dump_group_and_alias(capsys):
     code, out, _ = run(capsys, "preset-dump", "fig3a")
     assert code == 0
     assert json.loads(out)["name"] == "fig2a"
+
+
+def test_preset_dump_unknown_name_lists_figure_groups(capsys):
+    code, out, err = run(capsys, "preset-dump", "fig9")
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert "unknown preset 'fig9'" in err
+    # the groups preset-dump accepts are named with the presets
+    assert re.search(r"\bfig8\b", err) and "fig8ab" in err
 
 
 def test_preset_dump_default_lists_all(capsys):

@@ -1,6 +1,7 @@
 """Byte-identity guard on the fast README commands, two small hot runs, a
-small thermal-width sweep (its v_d = 0 series included) and the JSON,
-all-preset, computed-constants and one-point-grid output routes.
+small thermal-width sweep (its v_d = 0 series included), a cold series
+followed by hot ones, and the JSON, all-preset, computed-constants,
+every-sample pulse and one-point-grid output routes.
 
 Each command runs in-process through ``cli.main``; the test asserts
 exit 0 and the SHA-256 of everything it wrote to stdout.  A refactor
@@ -55,6 +56,14 @@ GOLDEN = {
         "2b71f1617d184e8decede677e83987b7364d9583d346e6fb0f9823cfd98e215a",
     "spectrum --preset fig6 --vd 0,0.1 --grid -1:1:5":
         "38081f602406e93e731d8ffc9ed207fbb2c461935d0ce67deebefaa5d324efe9",
+    "pulse --preset fig8ab --format json":
+        "881d17a8f5acb80397b5f1e91dfab5846737bee9b6d4c57ec7bbed07e5719341",
+    "pulse --preset fig8cd --full":
+        "3818b16bf60045471f9220b36d975d5876e57c2b3a05c2bbbc11a75ad8b6e32f",
+    "crossover --preset fig7 --format json":
+        "1100459ff82f931e2683278109fc29f6e0231f35248827d0cd1cf034cba925cf",
+    "spectrum --preset fig6 --mode both --vd 0.1,0.3 --grid -1:1:5":
+        "b24cc87b0a26c0729f226fea7596fc0d1769a16a4a8bf1c6d39a28717c6ab14f",
 }
 
 
