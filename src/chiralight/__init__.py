@@ -12,12 +12,14 @@ medium.
 
 Layout
 ------
+Each module imports only those listed above it, at module level.
+errors       named configuration and numerical errors
 params       validated system/medium parameter sets, JSON config I/O
 coherences   steady-state coherence solve and closed-form coefficients
-response     susceptibilities and chirality coefficients
+response     susceptibilities and chirality coefficients, reuse_betas
 doppler      thermal (Maxwell-Boltzmann) velocity averaging
-optics       refractive/group index, delays, crossover, calibration,
-             first-order dispersion data
+optics       cold or hot spectrum, refractive/group index, delays,
+             crossover, calibration, first-order dispersion data
 pulse        Gaussian pulse spectra, propagation, metrics
 presets      named parameter sets for the documented scenarios
 cli          command-line front end (`chiralight`)
@@ -30,11 +32,11 @@ from .coherences import (CoherenceCoefficients, DenominatorTerms,
 from .errors import ChiralightError, ConfigurationError, NumericalError
 from .optics import (DispersionPoint, calibrate_coupling, delay_table,
                      dispersion_coefficients, group_index_at,
-                     group_index_curve, refractive_index,
+                     group_index_curve, refractive_index, spectrum,
                      superluminal_crossover)
 from .params import (MediumParams, SystemParams, ValidatedConfig,
                      derived_couplings, load_config, validate, with_overrides)
-from .response import OpticalResponse, response_at, spectrum
+from .response import OpticalResponse, response_at
 from .doppler import doppler_average, hot_response
 from .pulse import (PulseSpec, PulseTrace, propagate_analytic,
                     propagate_numeric, pulse_metrics)

@@ -9,9 +9,10 @@ pulse        Gaussian probe pulse through the dispersive cell
 calibrate    solve the density coupling kappa_e for a target group index
 preset-dump  fully resolved parameters of the built-in presets (JSON)
 
-All numeric output is printed with 12 significant digits so repeated
-runs are byte-identical.  Exit codes: 0 success, 2 configuration
-error (every violation is listed), 3 numerical failure (named).
+CSV cells print numbers with %.12g, JSON numbers as exact doubles
+(shortest round-trip repr), so repeated runs are byte-identical.
+Exit codes: 0 success, 2 configuration error (every violation is
+listed), 3 numerical failure (named).
 """
 
 from __future__ import annotations

@@ -22,23 +22,20 @@ All functions broadcast over numpy arrays of detunings / velocity
 shifts, so a full (detuning grid) x (quadrature node) tensor can be
 solved in one batched call.
 
-The betas depend on the drive fields, detunings and decays only, never
-on the density coupling.  Within one :func:`reuse_betas` scope the
-response layer solves each (system, kv, delta_p) input once and reuses
-the coefficients, as a root search over kappa_e needs.
+Every function here reads the atom alone (SystemParams and the
+shifted detunings): the betas depend on the drive fields, detunings
+and decays only, never on the medium or its density coupling.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CouplingOverflow, SingularSystem
-from .params import SystemParams, ValidatedConfig
+from .params import SystemParams
 
 # Frobenius condition number above which the steady-state system is
 # treated as singular (double precision leaves ~4 digits of headroom).
@@ -47,10 +44,6 @@ COND_LIMIT = 1.0e12
 # Unit probe drives as the columns of one right-hand side: (i/2, 0, 0)
 # for omega_p, (0, i/2, 0) for omega_b; broadcasts over stacks of M.
 _UNIT_DRIVES = np.array([[0.5j, 0.0], [0.0, 0.5j], [0.0, 0.0]])
-
-# Beta coefficients by input key while a reuse_betas() scope is open in
-# this thread or task, None outside every scope.
-_memo = contextvars.ContextVar("chiralight_betas_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -92,16 +85,12 @@ class CoherenceCoefficients:
     beta_bb: object
 
 
-def shift_detunings(s: SystemParams, kv, delta_p=None) -> ShiftedDetunings:
-    """Apply the velocity replacement at shift(s) ``kv``.
-
-    ``delta_p`` overrides the probe detuning stored in ``s`` (used for
-    grid sweeps); both arguments broadcast.
-    """
+def shift_detunings(s: SystemParams, kv, delta_p) -> ShiftedDetunings:
+    """Apply the velocity replacement at shift(s) ``kv`` and probe
+    detuning(s) ``delta_p``; both arguments broadcast."""
     kv = np.asarray(kv, dtype=float)
-    dp = s.delta_p if delta_p is None else np.asarray(delta_p, dtype=float)
     return ShiftedDetunings(
-        d_p=dp + kv,
+        d_p=np.asarray(delta_p, dtype=float) + kv,
         d_b=s.delta_b + s.alpha_3 * kv,
         d_1=s.delta_1 + s.alpha_1 * kv,
         d_2=s.delta_2 + s.alpha_2 * kv,
@@ -236,7 +225,7 @@ def solve_steady_state(M) -> CoherenceCoefficients:
     )
 
 
-def steady_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficients:
+def steady_betas(s: SystemParams, sd: ShiftedDetunings) -> CoherenceCoefficients:
     """Authoritative beta coefficients at the given shifted detunings.
 
     Computes the diagonal terms once, rejects a singular or
@@ -245,13 +234,12 @@ def steady_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficie
     solve_steady_state; defined for any probe amplitudes, zero
     included, since the betas never depend on them.
     """
-    s = p.system
     dt = denominator_terms(s, sd)
     _check_conditioning(s, dt)
     return solve_steady_state(build_system_matrix(s, dt))
 
 
-def closed_form_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoefficients:
+def closed_form_betas(s: SystemParams, sd: ShiftedDetunings) -> CoherenceCoefficients:
     """Cross-check path: the betas from the adjugate of M.
 
     Y = -(adj M) X / det M, so beta_ee = k*C00, beta_be = k*C01,
@@ -262,7 +250,6 @@ def closed_form_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoef
     The guard of :func:`steady_betas` runs first, so both routes raise
     the same named error on the same systems.
     """
-    s = p.system
     dt = denominator_terms(s, sd)
     _check_conditioning(s, dt)
     expansion = _cofactor_expansion(s, dt)
@@ -271,38 +258,3 @@ def closed_form_betas(p: ValidatedConfig, sd: ShiftedDetunings) -> CoherenceCoef
     return CoherenceCoefficients(beta_ee=k * c00, beta_eb=k * c10,
                                  beta_be=k * c01, beta_bb=k * c11)
 
-
-@contextlib.contextmanager
-def reuse_betas():
-    """Scope in which response assembly reuses solved beta coefficients.
-
-    Each distinct (system, kv, delta_p) input is solved once by
-    :func:`steady_betas`; a repeat returns the same coefficient object,
-    so results are bit-identical to solving again.  Each scope has its
-    own memo, dropped when the scope exits.
-    """
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _input_key(a):
-    if a is None:
-        return None
-    a = np.asarray(a, dtype=float)
-    return a.shape, a.tobytes()
-
-
-def _betas_at(cfg: ValidatedConfig, kv, delta_p) -> CoherenceCoefficients:
-    """steady_betas at the raw inputs, memoised inside reuse_betas()."""
-    memo = _memo.get()
-    if memo is None:
-        return steady_betas(cfg, shift_detunings(cfg.system, kv, delta_p=delta_p))
-    key = (cfg.system, _input_key(kv), _input_key(delta_p))
-    betas = memo.get(key)
-    if betas is None:
-        betas = steady_betas(cfg, shift_detunings(cfg.system, kv, delta_p=delta_p))
-        memo[key] = betas
-    return betas

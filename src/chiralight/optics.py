@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coherences, response as response_mod
+from . import doppler, response as response_mod
 from .errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
                      NonPositiveTolerance, NoRootInBracket, NumericalError,
                      RootSearchFailed)
@@ -141,6 +141,20 @@ def grid_derivative(y, h):
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
+def spectrum(cfg: ValidatedConfig, grid, mode: str = "cold") -> response_mod.OpticalResponse:
+    """Response on a detuning grid; fields are arrays ordered like the grid.
+
+    mode "cold" evaluates at kv = 0; mode "hot" Doppler-averages at the
+    medium's v_doppler.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if mode == "cold":
+        return response_mod.response_at(cfg, 0.0, delta_p=grid)
+    if mode == "hot":
+        return doppler.hot_response(cfg, grid)
+    raise ValueError(f"mode must be 'cold' or 'hot', got {mode!r}")
+
+
 def _index_at(cfg, points, mode):
     """Complex index at detunings ``points``, shaped like them.
 
@@ -151,7 +165,7 @@ def _index_at(cfg, points, mode):
     """
     points = np.asarray(points, dtype=float)
     xs, inverse = np.unique(points.ravel(), return_inverse=True)
-    resp = response_mod.spectrum(cfg, xs, mode=mode)
+    resp = spectrum(cfg, xs, mode=mode)
     inverse = inverse.reshape(points.shape)
     return refractive_index(resp, xs)[inverse], resp, inverse
 
@@ -377,6 +391,6 @@ def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
             f"{target:g} is not reachable in this bracket")
 
     # the betas do not depend on kappa_e: solve each stencil input once
-    with coherences.reuse_betas():
+    with response_mod.reuse_betas():
         kappa, g_root = _bracketed_root(gap, lo, hi, no_root, 1e-30)
     return kappa, g_root + target

@@ -45,9 +45,10 @@ class SystemParams:
     frequencies.  phi is the phase of the closed-loop microwave field.
     alpha_1..alpha_3 are the propagation signs (+1 co-propagating,
     -1 counter-propagating) multiplying the velocity shift kv in the
-    Doppler replacement of the respective detuning.  delta_1 and alpha_1
-    are validated and serialized but change no output: no diagonal term
-    of the coherence equations carries the shifted d_1.
+    Doppler replacement of the respective detuning.  delta_1, alpha_1,
+    omega_p and omega_b are validated and serialized but change no
+    output: no coherence equation carries the shifted d_1 on its
+    diagonal, and the response is linear in the probe amplitudes.
     """
 
     omega_1: float = 0.1

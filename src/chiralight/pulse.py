@@ -132,15 +132,16 @@ def input_spectrum(ps: PulseSpec, nu) -> PulseTrace:
     """Analytic input spectrum (tau_0/sqrt(2)) exp(-(nu-delta)^2 tau_0^2/4) on nu.
 
     Raises WindowTooNarrow if the spectrum is truncated above
-    1e-8 of its peak at the edge of the sampled band.
+    1e-8 of its peak at either edge of the sampled band.
     """
     samples = (ps.tau_0 / np.sqrt(2.0)) * np.exp(
         -((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
-    edge = np.abs(samples[np.argmax(np.abs(nu))])
-    if edge > EDGE_AMPLITUDE_TOL * np.max(np.abs(samples)):
-        raise WindowTooNarrow(
-            f"input spectrum truncated at {edge / np.max(np.abs(samples)):.3e} "
-            "of peak at the window edge")
+    peak = np.max(np.abs(samples))
+    for edge in np.abs(samples[[np.argmin(nu), np.argmax(nu)]]):
+        if edge > EDGE_AMPLITUDE_TOL * peak:
+            raise WindowTooNarrow(
+                f"input spectrum truncated at {edge / peak:.3e} "
+                "of peak at the window edge")
     return PulseTrace(grid=nu, samples=samples)
 
 

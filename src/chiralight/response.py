@@ -12,22 +12,30 @@ kappa_x = kappa_e*r_mu cross),
              + kappa_x^2*beta_EB*beta_BE / (1 - kappa_m*beta_BB)
 
 Susceptibilities are reported in units where kappa_e = 1 unless the
-coupling has been calibrated.
+coupling has been calibrated.  The betas do not depend on kappa_e, so
+a root search over it solves each (system, kv, delta_p) input once
+inside :func:`reuse_betas`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coherences
 from .errors import CouplingOverflow, DegenerateMagnetic
-from .params import MediumParams, ValidatedConfig, derived_couplings
+from .params import MediumParams, SystemParams, ValidatedConfig, derived_couplings
 
 # |1 - kappa_m*beta_BB| below this is treated as a degenerate
 # magnetization feedback (the elimination step divides by it).
 DEGENERATE_TOL = 1.0e-9
+
+# Beta coefficients by input key while a reuse_betas() scope is open in
+# this thread or task, None outside every scope.
+_memo = contextvars.ContextVar("chiralight_betas_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -66,25 +74,44 @@ def response_from_betas(b: coherences.CoherenceCoefficients,
     return OpticalResponse(chi_e=chi_e, chi_m=chi_m, xi_eh=xi_eh, xi_he=xi_he)
 
 
-def response_at(cfg: ValidatedConfig, kv, delta_p=None) -> OpticalResponse:
+@contextlib.contextmanager
+def reuse_betas():
+    """Scope in which response assembly reuses solved beta coefficients.
+
+    Each distinct (system, kv, delta_p) input is solved once by
+    ``coherences.steady_betas``; a repeat returns the same coefficient
+    object, so results are bit-identical to solving again.  Each scope
+    has its own memo, dropped when the scope exits.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _input_key(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _betas_at(s: SystemParams, kv, delta_p) -> coherences.CoherenceCoefficients:
+    """steady_betas at the raw inputs, memoised inside reuse_betas()."""
+    memo = _memo.get()
+    if memo is None:
+        return coherences.steady_betas(s, coherences.shift_detunings(s, kv, delta_p))
+    key = (s, _input_key(kv), _input_key(delta_p))
+    betas = memo.get(key)
+    if betas is None:
+        betas = coherences.steady_betas(s, coherences.shift_detunings(s, kv, delta_p))
+        memo[key] = betas
+    return betas
+
+
+def response_at(cfg: ValidatedConfig, kv, delta_p) -> OpticalResponse:
     """Single-velocity response; broadcasts over kv and delta_p arrays.
 
-    Inside ``coherences.reuse_betas()`` the betas of a repeated
+    Inside :func:`reuse_betas` the betas of a repeated
     (system, kv, delta_p) input are reused rather than solved again.
     """
-    return response_from_betas(coherences._betas_at(cfg, kv, delta_p), cfg.medium)
-
-
-def spectrum(cfg: ValidatedConfig, grid, mode: str = "cold") -> OpticalResponse:
-    """Response on a detuning grid; fields are arrays ordered like the grid.
-
-    mode "cold" evaluates at kv = 0; mode "hot" Doppler-averages at the
-    medium's v_doppler.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if mode == "cold":
-        return response_at(cfg, 0.0, delta_p=grid)
-    if mode == "hot":
-        from . import doppler  # deferred: doppler builds on this module
-        return doppler.hot_response(cfg, grid)
-    raise ValueError(f"mode must be 'cold' or 'hot', got {mode!r}")
+    return response_from_betas(_betas_at(cfg.system, kv, delta_p), cfg.medium)

@@ -92,9 +92,9 @@ def test_criterion_01_oracle_equivalence(record, rng):
             alpha_3=rng.choice((-1.0, 1.0)),
         ), medium)
         kv = float(draw[11] * rng.choice((-1.0, 1.0)))
-        sd = coherences.shift_detunings(cfg.system, kv)
-        solved = coherences.steady_betas(cfg, sd)
-        closed = coherences.closed_form_betas(cfg, sd)
+        sd = coherences.shift_detunings(cfg.system, kv, cfg.system.delta_p)
+        solved = coherences.steady_betas(cfg.system, sd)
+        closed = coherences.closed_form_betas(cfg.system, sd)
         for name in ("beta_ee", "beta_eb", "beta_be", "beta_bb"):
             a = complex(np.asarray(getattr(solved, name)))
             b = complex(np.asarray(getattr(closed, name)))
@@ -106,14 +106,14 @@ def test_criterion_01_oracle_equivalence(record, rng):
 
 def test_criterion_02_doppler_limit_and_dual_quadrature(record, subluminal_cfg):
     grid = np.linspace(-10.0, 10.0, 2001)
-    cold = response.spectrum(subluminal_cfg, grid, mode="cold")
+    cold = optics.spectrum(subluminal_cfg, grid, mode="cold")
 
     # vanishing thermal width: below the cold threshold ...
     tiny = with_overrides(subluminal_cfg, medium={"v_doppler": 1e-7})
-    rel_tiny = _components_rel(response.spectrum(tiny, grid, mode="hot"), cold)
+    rel_tiny = _components_rel(optics.spectrum(tiny, grid, mode="hot"), cold)
     # ... and just above it, through the genuine quadrature
     near = with_overrides(subluminal_cfg, medium={"v_doppler": 2e-6})
-    rel_near = _components_rel(response.spectrum(near, grid, mode="hot"), cold)
+    rel_near = _components_rel(optics.spectrum(near, grid, mode="hot"), cold)
 
     # ... and Gauss-Hermite against the independent trapezoid rule
     v_d = subluminal_cfg.medium.v_doppler
@@ -247,10 +247,10 @@ def test_criterion_08_superluminal_family(record):
 
 def test_criterion_09_dispersion_signs(record, subluminal_cfg):
     h = 1.0e-3
-    cold = response.spectrum(subluminal_cfg, [-h, 0.0, h], mode="cold")
+    cold = optics.spectrum(subluminal_cfg, [-h, 0.0, h], mode="cold")
     slope_e = (cold.chi_e[2].real - cold.chi_e[0].real) / (2 * h)
     slope_m = (cold.chi_m[2].real - cold.chi_m[0].real) / (2 * h)
-    hot = response.spectrum(subluminal_cfg, [0.0], mode="hot")
+    hot = optics.spectrum(subluminal_cfg, [0.0], mode="hot")
     cold_abs = cold.chi_e[1].imag
     hot_abs = hot.chi_e[0].imag
     ok = slope_e > 0.0 and slope_m < 0.0 and hot_abs >= cold_abs

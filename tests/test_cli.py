@@ -322,6 +322,17 @@ def test_calibrate_recovers_unit_coupling(capsys):
     assert doc["config"]["medium"]["density_coupling"] == cal["kappa_e"]
 
 
+@pytest.mark.parametrize("delta", ["1.4475e11", "-1.4475e11"])
+def test_pulse_band_truncated_at_either_edge_is_numerical_failure(capsys, delta):
+    # |delta| + 8/tau_0 fits under Nyquist, but the spectrum still stands
+    # at ~1e-7 of its peak at the band edge on the side of delta
+    code, out, err = run(capsys, "pulse", "--preset", "fig8ab", "--vacuum",
+                         "--delta", delta)
+    assert code == 3
+    assert out == ""
+    assert "WindowTooNarrow: input spectrum truncated" in err
+
+
 def test_calibrate_unreachable_target_is_numerical_failure(capsys):
     code, out, err = run(capsys, "calibrate", "--preset", "fig2a",
                          "--target", "1e12", "--bracket", "1:2")

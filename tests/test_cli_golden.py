@@ -7,7 +7,7 @@ Each command runs in-process through ``cli.main``; the test asserts
 exit 0 and the SHA-256 of everything it wrote to stdout.  A refactor
 that claims unchanged outputs must keep every digest.  The hot
 ``spectrum`` run pins the Gauss-Hermite thermal average outside the
-memo of ``coherences.reuse_betas``; the hot ``calibrate`` pins it inside.
+memo of ``response.reuse_betas``; the hot ``calibrate`` pins it inside.
 The hot ``delay`` on fig8ab reaches the 2048-node level, where the
 nodes of zero weight are not evaluated.
 

@@ -247,7 +247,7 @@ def test_hot_response_cold_limit(subluminal_cfg, default_cfg):
 
 
 def test_hot_absorption_exceeds_cold_at_resonance(subluminal_cfg):
-    cold = response_at(subluminal_cfg, 0.0)
+    cold = response_at(subluminal_cfg, 0.0, subluminal_cfg.system.delta_p)
     hot = hot_response(subluminal_cfg, np.zeros(1))
     assert hot.chi_e.shape == (1,)
     assert hot.chi_e[0].imag > float(np.asarray(cold.chi_e).imag)

@@ -16,7 +16,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chiralight import optics, presets
-from chiralight import response as response_mod
 from chiralight.cli import main
 from chiralight.errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
                                NoRootInBracket, RootSearchFailed)
@@ -180,7 +179,7 @@ def test_group_index_at_matches_curve():
 def test_branch_stays_continuous_across_preset_spectrum():
     cfg = presets.get("fig2a").config()
     grid = np.linspace(-10.0, 10.0, 1001)
-    n = optics.refractive_index(response_mod.spectrum(cfg, grid, mode="cold"), grid)
+    n = optics.refractive_index(optics.spectrum(cfg, grid, mode="cold"), grid)
     assert np.abs(np.diff(n)).max() < 0.1
 
 
@@ -213,11 +212,12 @@ def test_coarse_stencil_raises():
 
 
 @pytest.mark.parametrize("mode", ["cold", "hot"])
-def test_delta_1_and_alpha_1_enter_no_output(mode):
-    # no diagonal term of the coherence equations carries d_1
+def test_delta_1_alpha_1_and_probe_amplitudes_enter_no_output(mode):
+    # no diagonal term of the coherence equations carries d_1, and the
+    # betas are linear response coefficients, free of omega_p and omega_b
     cfg = presets.get("fig8ab").config()
     ref = optics.group_index_at(cfg, 0.0, mode=mode).N_g
-    for over in ({"delta_1": 0.3}, {"alpha_1": -1}):
+    for over in ({"delta_1": 0.3}, {"alpha_1": -1}, {"omega_p": 7.0}, {"omega_b": 0.0}):
         assert optics.group_index_at(with_overrides(cfg, system=over), 0.0, mode=mode).N_g == ref
 
 

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from chiralight import coherences, errors, presets
+from chiralight import coherences, errors, presets, response
 from chiralight.coherences import CoherenceCoefficients, closed_form_betas, shift_detunings
-from chiralight.optics import group_index_at
+from chiralight.optics import group_index_at, spectrum
 from chiralight.params import MediumParams, SystemParams, validate, with_overrides
-from chiralight.response import (OpticalResponse, response_at,
-                                 response_from_betas, spectrum)
+from chiralight.response import OpticalResponse, response_at, response_from_betas
 
 from test_coherences import KV_A, POINT_A
 
@@ -28,7 +27,7 @@ def _cfg(system=None, medium=None):
 
 def test_golden_response_point_a():
     cfg = _cfg(system=POINT_A, medium={"density_coupling": 0.8})
-    got = response_at(cfg, KV_A)
+    got = response_at(cfg, KV_A, cfg.system.delta_p)
     for name in ("chi_e", "chi_m", "xi_eh", "xi_he"):
         g = complex(np.asarray(getattr(got, name)))
         w = getattr(RESPONSE_A, name)
@@ -38,8 +37,8 @@ def test_golden_response_point_a():
 def test_zero_dipole_ratio_decouples_exactly():
     cfg = _cfg(system=POINT_A, medium={"dipole_ratio": 0.0,
                                        "density_coupling": 0.8})
-    r = response_at(cfg, KV_A)
-    betas = closed_form_betas(cfg, shift_detunings(cfg.system, KV_A))
+    r = response_at(cfg, KV_A, cfg.system.delta_p)
+    betas = closed_form_betas(cfg.system, shift_detunings(cfg.system, KV_A, cfg.system.delta_p))
     assert complex(np.asarray(r.chi_m)) == 0
     assert complex(np.asarray(r.xi_eh)) == 0
     assert complex(np.asarray(r.xi_he)) == 0
@@ -50,8 +49,8 @@ def test_zero_dipole_ratio_decouples_exactly():
 def test_first_order_series_in_kappa_m():
     """With r_mu = 5.3e-5 the feedback denominator is a tiny correction."""
     cfg = _cfg(system=POINT_A)
-    b = closed_form_betas(cfg, shift_detunings(cfg.system, KV_A))
-    r = response_at(cfg, KV_A)
+    b = closed_form_betas(cfg.system, shift_detunings(cfg.system, KV_A, cfg.system.delta_p))
+    r = response_at(cfg, KV_A, cfg.system.delta_p)
     kappa_m = cfg.medium.density_coupling * cfg.medium.dipole_ratio ** 2
     kappa_x = cfg.medium.density_coupling * cfg.medium.dipole_ratio
     first = kappa_m * complex(np.asarray(b.beta_bb))
@@ -96,7 +95,7 @@ def test_spectrum_mode_validation():
 def test_resonance_absorption_magnitude(subluminal_cfg):
     """Im chi_e at resonance is ~0.2 once kappa_e is near its
     calibrated value (0.26 at kappa_e = 1)."""
-    r = response_at(subluminal_cfg, 0.0)
+    r = response_at(subluminal_cfg, 0.0, subluminal_cfg.system.delta_p)
     assert 0.2 < float(np.asarray(r.chi_e).imag) < 0.3
 
 
@@ -107,8 +106,8 @@ def test_strong_drive_suppresses_electric_absorption():
                             delta_2=0, alpha_3=1.0))
     strong = _cfg(system=dict(POINT_A, omega_2=4.0, delta_p=0, delta_b=0,
                               delta_1=0, delta_2=0, alpha_3=1.0))
-    r0 = response_at(base, 0.0)
-    r1 = response_at(strong, 0.0)
+    r0 = response_at(base, 0.0, base.system.delta_p)
+    r1 = response_at(strong, 0.0, strong.system.delta_p)
     ratio_e = float(np.asarray(r1.chi_e).imag) / float(np.asarray(r0.chi_e).imag)
     ratio_m = float(np.asarray(r1.chi_m).imag) / float(np.asarray(r0.chi_m).imag)
     assert ratio_e < 0.12
@@ -137,8 +136,8 @@ def test_magnetic_response_is_small_everywhere(subluminal_cfg):
 def test_response_scales_linearly_in_kappa_to_leading_order():
     cfg1 = _cfg(medium={"density_coupling": 1.0})
     cfg2 = _cfg(medium={"density_coupling": 2.0})
-    r1 = response_at(cfg1, 0.0)
-    r2 = response_at(cfg2, 0.0)
+    r1 = response_at(cfg1, 0.0, cfg1.system.delta_p)
+    r2 = response_at(cfg2, 0.0, cfg2.system.delta_p)
     # the feedback denominator makes this approximate at the 1e-8 level
     assert complex(np.asarray(r2.chi_e)) == pytest.approx(
         2 * complex(np.asarray(r1.chi_e)), rel=1e-7)
@@ -159,9 +158,9 @@ def steady_calls(monkeypatch):
     calls = []
     real = coherences.steady_betas
 
-    def counted(p, sd):
-        calls.append(p.system)
-        return real(p, sd)
+    def counted(s, sd):
+        calls.append(s)
+        return real(s, sd)
 
     monkeypatch.setattr(coherences, "steady_betas", counted)
     return calls
@@ -171,13 +170,13 @@ def steady_calls(monkeypatch):
 def test_reused_betas_leave_group_index_bit_identical(mode):
     kappas = (3.92e-8, 1.0, 4.5e3)  # across a calibrate bracket
     outside = [group_index_at(_fig8ab(k), 0.0, mode=mode).N_g for k in kappas]
-    with coherences.reuse_betas():
+    with response.reuse_betas():
         inside = [group_index_at(_fig8ab(k), 0.0, mode=mode).N_g for k in kappas]
     assert inside == outside
 
 
 def test_second_kappa_on_same_stencil_solves_nothing(steady_calls):
-    with coherences.reuse_betas():
+    with response.reuse_betas():
         group_index_at(_fig8ab(1.0), 0.0, mode="hot")
         first = len(steady_calls)
         assert first > 0
@@ -190,7 +189,7 @@ def test_second_kappa_on_same_stencil_solves_nothing(steady_calls):
 
 def test_changed_control_field_misses_the_memo(steady_calls):
     grid = np.linspace(-1.0, 1.0, 5)
-    with coherences.reuse_betas():
+    with response.reuse_betas():
         response_at(_fig8ab(), 0.0, delta_p=grid)
         response_at(_fig8ab(kappa=2.0), 0.0, delta_p=grid)
         assert len(steady_calls) == 1
@@ -201,12 +200,12 @@ def test_changed_control_field_misses_the_memo(steady_calls):
 
 def test_memo_dropped_when_scope_exits():
     cfg = _fig8ab()
-    with coherences.reuse_betas():
+    with response.reuse_betas():
         response_at(cfg, 0.0, delta_p=[0.0, 0.1])
-        assert len(coherences._memo.get()) == 1
-    assert coherences._memo.get() is None
+        assert len(response._memo.get()) == 1
+    assert response._memo.get() is None
     with pytest.raises(RuntimeError):
-        with coherences.reuse_betas():
+        with response.reuse_betas():
             response_at(cfg, 0.0, delta_p=[0.0, 0.1])
             raise RuntimeError("abort inside the scope")
-    assert coherences._memo.get() is None
+    assert response._memo.get() is None
