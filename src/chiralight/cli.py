@@ -28,8 +28,7 @@ import numpy as np
 from . import optics, presets
 from . import pulse as pulse_mod
 from .errors import ConfigurationError, NumericalError
-from .params import (C_LIGHT, MediumParams, SystemParams, load_config,
-                     to_dict, validate, with_overrides)
+from .params import from_dict, load_config, to_dict, with_overrides
 
 _MODES = ("cold", "hot", "both")
 
@@ -120,8 +119,7 @@ def _resolve(args):
     field by field.
     """
     scenario = presets.get(args.preset) if args.preset else None
-    cfg = (scenario.config() if scenario is not None
-           else validate(SystemParams(), MediumParams()))
+    cfg = scenario.config() if scenario is not None else from_dict({})
     if args.config:
         cfg = load_config(args.config, base=cfg)
     return cfg, scenario
@@ -263,7 +261,7 @@ def cmd_pulse(args) -> int:
     L = cfg.medium.length_L
     series = _pulse_series(args, cfg, scenario, modes)
 
-    peaks = [L * n_0 / C_LIGHT + g_vd * L * ps.delta for _, n_0, g_vd in series]
+    peaks = [pulse_mod.arrival_time(ps, n_0, g_vd, L) for _, n_0, g_vd in series]
     t = pulse_mod.time_grid(ps, expected_peaks=[0.0] + peaks)
     nu = np.sort(pulse_mod.frequency_grid(ps, t))  # band check before any trace
     trace_in = pulse_mod.input_envelope(ps, t)

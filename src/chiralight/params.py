@@ -190,9 +190,8 @@ def from_dict(doc: dict, base: ValidatedConfig | None = None) -> ValidatedConfig
     bad = sorted(set(sys_doc) - _SYSTEM_FIELDS) + sorted(set(med_doc) - _MEDIUM_FIELDS)
     if bad:
         raise ConfigurationError(f"unknown config keys: {bad}")
-    system = base.system if base is not None else SystemParams()
-    medium = base.medium if base is not None else MediumParams()
-    return validate(replace(system, **sys_doc), replace(medium, **med_doc))
+    base = base or ValidatedConfig(SystemParams(), MediumParams())
+    return validate(replace(base.system, **sys_doc), replace(base.medium, **med_doc))
 
 
 def loads(text: str, base: ValidatedConfig | None = None) -> ValidatedConfig:
@@ -213,7 +212,5 @@ def load_config(path, base: ValidatedConfig | None = None) -> ValidatedConfig:
 
 
 def with_overrides(cfg: ValidatedConfig, system=None, medium=None) -> ValidatedConfig:
-    """Return a re-validated copy with field overrides applied."""
-    new_sys = replace(cfg.system, **(system or {}))
-    new_med = replace(cfg.medium, **(medium or {}))
-    return validate(new_sys, new_med)
+    """Re-validated copy with field overrides, merged through from_dict."""
+    return from_dict({"system": system or {}, "medium": medium or {}}, base=cfg)

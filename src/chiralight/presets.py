@@ -20,14 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .params import (
-    C_LIGHT,
-    MediumParams,
-    SystemParams,
-    ValidatedConfig,
-    to_dict,
-    validate,
-)
+from .params import C_LIGHT, ValidatedConfig, from_dict, to_dict
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,7 @@ class Scenario:
     pulse_constants: dict = field(default_factory=dict)
 
     def config(self) -> ValidatedConfig:
-        return validate(SystemParams(**self.system), MediumParams(**self.medium))
+        return from_dict({"system": self.system, "medium": self.medium})
 
 
 _SUBLUMINAL = dict(
@@ -212,7 +205,7 @@ def pulse_dispersion_si(scenario: Scenario, mode: str) -> dict:
             f"preset {scenario.name!r} carries no pulse constants for "
             f"mode {mode!r}")
     raw = scenario.pulse_constants[mode]
-    gamma_unit = scenario.medium.get("gamma_unit", MediumParams().gamma_unit)
+    gamma_unit = scenario.config().medium.gamma_unit
     return {
         "n_0": raw["n_0"],
         "g_vd": raw["g_vd"] / (C_LIGHT * gamma_unit ** 2),

@@ -129,6 +129,23 @@ def dft(t, samples):
     return nu, spec
 
 
+def two_band_checks_reject(ps, t):
+    """Whether the pulse layer's two former band checks reject ps on t.
+
+    First the Nyquist margin: pi/dt against |delta| + 8/tau_0.  Then the
+    sampled input spectrum: either edge sample of the band above 1e-8
+    of the sampled peak.  ``pulse.frequency_grid`` must reject whatever
+    this pair rejects.
+    """
+    dt = t[1] - t[0]
+    if np.pi / dt < abs(ps.delta) + 8.0 / ps.tau_0:
+        return True
+    nu = 2.0 * np.pi * np.fft.fftfreq(t.size, dt)
+    samples = (ps.tau_0 / np.sqrt(2.0)) * np.exp(-((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
+    edges = samples[[np.argmin(nu), np.argmax(nu)]]
+    return bool(np.any(edges > 1.0e-8 * samples.max()))
+
+
 def quadratic_wavenumber(n_0, g_vd):
     """k(nu) - k(0) for a pure first-order-dispersion medium (1/m)."""
     def k_rel(nu):

@@ -330,7 +330,19 @@ def test_pulse_band_truncated_at_either_edge_is_numerical_failure(capsys, delta)
                          "--delta", delta)
     assert code == 3
     assert out == ""
-    assert "WindowTooNarrow: input spectrum truncated" in err
+    assert "WindowTooNarrow: Nyquist band [-1.462e+11, 1.462e+11] rad/s does not hold " in err
+    assert f"the pulse band {float(delta):.3e} -/+ 1.570e+09 rad/s" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--tau0", "1e-300"), ("--tau0", "1e300"),
+                                        ("--delta", "1e300"), ("--delta", "-1e300")])
+def test_absurd_pulse_fails_the_band_check_before_any_overflow(capsys, flag, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "pulse", "--preset", "fig8ab", flag, value)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: WindowTooNarrow: Nyquist band")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_calibrate_unreachable_target_is_numerical_failure(capsys):

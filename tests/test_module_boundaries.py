@@ -11,6 +11,10 @@ business.  The scan records each read of another module's ``_name``:
 ``from . import optics`` alike.  Every such read must be on the
 allow-list below, and every entry of the list must still be read, so a
 crossing that goes away takes its entry along.
+
+Config merges: only ``params`` constructs a config or its parts; every
+other module merges fields through ``params.from_dict`` (or a helper
+built on it), so an unknown key is named the same way on every path.
 """
 
 import ast
@@ -56,6 +60,29 @@ def test_private_names_cross_modules_only_where_allowed():
     assert reads - ALLOWED == set(), "private names read across modules"
     assert ALLOWED - reads == set(), "allow-list entries no module reads"
 
+
+
+# calls that build a config, which only params may make
+CONFIG_CONSTRUCTORS = {"SystemParams", "MediumParams", "ValidatedConfig", "validate"}
+
+
+def config_constructions(path):
+    """(module, callee) for every config constructor path calls."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in CONFIG_CONSTRUCTORS:
+                found.add((path.stem, name))
+    return found
+
+
+def test_only_params_constructs_a_config():
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "params"]
+    assert set().union(*map(config_constructions, others)) == set()
+    assert config_constructions(PACKAGE / "params.py"), "the scan sees no constructor call in params"
 
 
 def sibling_imports(path):

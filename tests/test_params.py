@@ -9,6 +9,7 @@ from chiralight import errors
 from chiralight.params import (MediumParams, SystemParams, check,
                                derived_couplings, from_dict, load_config,
                                loads, to_dict, validate, with_overrides)
+from chiralight.presets import Scenario
 
 
 def test_defaults_validate():
@@ -94,6 +95,16 @@ def test_with_overrides_revalidates():
     assert cfg.system.omega_3 == 0.7  # original untouched
     with pytest.raises(errors.ConfigurationError):
         with_overrides(cfg, system={"gamma_1": -1.0})
+
+
+@pytest.mark.parametrize("merge", [
+    lambda cfg: with_overrides(cfg, system={"bogus": 1}),
+    lambda cfg: with_overrides(cfg, medium={"bogus": 1}),
+    lambda cfg: Scenario("x", "", system={"bogus": 1}).config(),
+], ids=["with_overrides-system", "with_overrides-medium", "Scenario.config"])
+def test_unknown_key_is_named_on_every_merge_path(merge):
+    with pytest.raises(errors.ConfigurationError, match="unknown config keys: \\['bogus'\\]"):
+        merge(validate(SystemParams(), MediumParams()))
 
 
 def test_phi_default_is_quarter_turn():

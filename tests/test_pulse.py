@@ -10,12 +10,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chiralight import optics, presets, pulse
 from chiralight.errors import (AliasingDetected, BadPulseSpec, FlatTrace,
                               WindowTooNarrow)
 from chiralight.params import C_LIGHT, with_overrides
-from oracles import dft, l2_difference, quadratic_wavenumber
+from oracles import dft, l2_difference, quadratic_wavenumber, two_band_checks_reject
 
 L = 0.06
 
@@ -225,10 +227,36 @@ def test_undersampled_window_rejected():
 
 
 def test_truncated_spectrum_rejected():
-    ps = pulse.PulseSpec()
-    nu = ps.delta + np.linspace(-1.0, 1.0, 64) / ps.tau_0
-    with pytest.raises(WindowTooNarrow, match="truncated"):
-        pulse.input_spectrum(ps, nu)
+    # pi/dt = 8.3/tau_0 clears |delta| + 8/tau_0, yet the unshifted
+    # spectrum still stands at exp(-8.3^2/4) ~ 3e-8 of its peak at the edges
+    ps = pulse.PulseSpec(delta=0.0)
+    t = np.arange(-32, 32) * (np.pi / 8.3) * ps.tau_0
+    with pytest.raises(WindowTooNarrow, match="Nyquist band"):
+        pulse.frequency_grid(ps, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decade=st.floats(-10.0, -7.0), peak=st.floats(-200.0, 200.0),
+       sign=st.sampled_from([-1.0, 1.0]), offset=st.floats(-0.1, 0.1))
+@example(decade=-8.0, peak=0.0, sign=1.0, offset=0.0143)  # rejected only here
+@example(decade=-8.0, peak=0.0, sign=-1.0, offset=0.003)  # rejected only here
+def test_band_rule_rejects_whatever_the_two_former_checks_reject(decade, peak, sign,
+                                                                 offset):
+    # delta within 10 % of the spectrum's 1e-8 half-width of either band
+    # edge; the expected peak (in tau_0) widens the window past 64*tau_0
+    tau_0 = 10.0 ** decade
+    t = pulse.time_grid(pulse.PulseSpec(tau_0=tau_0), expected_peaks=(peak * tau_0,))
+    width = 2.0 * np.sqrt(np.log(1e8)) / tau_0
+    ps = pulse.PulseSpec(tau_0=tau_0, delta=sign * (np.pi / (t[1] - t[0]) - width * (1 + offset)))
+    try:
+        pulse.frequency_grid(ps, t)
+    except WindowTooNarrow:
+        if not two_band_checks_reject(ps, t):
+            # newly rejected only within half a grid step past the half-width
+            nu = 2.0 * np.pi * np.fft.fftfreq(t.size, t[1] - t[0])
+            assert min(ps.delta - nu.min(), nu.max() - ps.delta) >= width * (1 - 1e-12)
+    else:
+        assert not two_band_checks_reject(ps, t)
 
 
 def test_wraparound_detected_for_forced_window():
