@@ -7,6 +7,7 @@ pin both computation paths to the same algebra.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralight import errors, presets
+from chiralight import coherences, doppler, errors, presets
 from chiralight.coherences import (COND_LIMIT, CoherenceCoefficients,
                                    DenominatorTerms, _check_conditioning,
+                                   _cond_bound,
                                    _cofactor_expansion, _frobenius_cond,
                                    build_system_matrix,
                                    closed_form_betas, denominator_terms,
@@ -261,6 +263,29 @@ def test_oracle_equivalence_property(o1, o2, o3, g, phi, dp, db, d1, d2, kv):
         assert abs(a - b) / scale < 1e-10
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+# The forward error of a backward-stable solve of M y = x is at most
+# about cond(M) times its backward error (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., ch. 7).  LU with partial pivoting on
+# n = 3 is backward stable to gamma_3n ~ 3n*u = 9u times the pivot
+# growth, at most 2^(n-1) = 4.  The adjugate route has no such theorem;
+# measured, it stays well inside the same bound (at most 0.07*cond*u on
+# ROUTE_DRAWS).  Two routes each inside the bound differ by at most
+# twice it, and the largest of four betas is at least half their
+# 2-norm: c = 2 * 9 * 4 * 2.
+ROUTE_C = 144.0
+
+_route_draw = dict(phi=0.0, g1=1.0, g2=1.0, g3=1.0, g4=1.0, dp=0.0, db=0.0,
+                   d1=0.0, d2=0.0, a1=1.0, a2=1.0, a3=1.0, kv=0.0)
+# ROADMAP item 14's table: condition numbers 8.6e8, 4.3e7 and 9.9e11
+ROUTE_DRAWS = (
+    {**_route_draw, "o1": 4763438.0, "o2": 1318689791.0, "o3": 787369459.0},
+    {**_route_draw, "o1": 1.0013e55, "o2": 0.0, "o3": 0.0, "g2": 1.0013e55,
+     "g4": 1.03e48},
+    {**_route_draw, "o1": 29572136.0, "o2": 19614820780343.0,
+     "o3": 19612013233761.0, "g4": 74.0},
+)
+
 _any_control = st.one_of(st.just(0.0), st.floats(0, 10), st.floats(0, 1e200))
 _any_decay = st.one_of(st.floats(1e-13, 10), st.floats(1e-13, 1e200))
 _any_detuning = st.one_of(st.floats(-20, 20), st.floats(-1e200, 1e200))
@@ -282,12 +307,18 @@ _any_detuning = st.one_of(st.floats(-20, 20), st.floats(-1e200, 1e200))
 # condition number ~10, but beta_ee is 1e-9 beside a beta_bb of 2
 @example(o1=0.0, o2=0.0, o3=1.0, phi=0.0, g1=1e-9, g2=1e-13, g3=1.0,
          g4=1.0, dp=1.0, db=0.0, d1=0.0, d2=0.0, a1=1.0, a2=1.0, a3=1.0, kv=0.0)
+# ROADMAP item 14's draws: the routes differ by more than 1e-10 of the largest beta
+@example(**ROUTE_DRAWS[0])
+@example(**ROUTE_DRAWS[1])
+@example(**ROUTE_DRAWS[2])
 def test_both_routes_reject_the_same_systems(
         o1, o2, o3, phi, g1, g2, g3, g4, dp, db, d1, d2, a1, a2, a3, kv):
     """The solve and the closed form raise the same named error, or agree.
 
-    Agreement is norm-wise, to 1e-10 of the largest beta: LU is accurate
-    to rounding relative to the norm of M^-1, not entry by entry (in the
+    Agreement is norm-wise, relative to the largest beta, within the
+    forward error bound ROUTE_C * cond * u that COND_LIMIT admits, with
+    cond the guard's Frobenius condition number: LU is accurate to
+    rounding relative to the norm of M^-1, not entry by entry (in the
     third example beta_ee differs by 2.5e-9 of itself).
     """
     s = _cfg(omega_1=o1, omega_2=o2, omega_3=o3, phi=phi,
@@ -308,9 +339,89 @@ def test_both_routes_reject_the_same_systems(
     names = ("beta_ee", "beta_eb", "beta_be", "beta_bb")
     pairs = [(complex(getattr(solved, n)), complex(getattr(closed, n))) for n in names]
     scale = max(max(abs(a), abs(b)) for a, b in pairs)
+    cond = float(_frobenius_cond(s, denominator_terms(s, sd))[0])
     for name, (a, b) in zip(names, pairs):
-        assert abs(a - b) <= 1e-10 * scale, (name, a, b)
+        assert abs(a - b) <= ROUTE_C * cond * UNIT_ROUNDOFF * scale, (name, a, b, cond)
 
+
+_rabi = st.floats(0, 1e3)
+_wide_detuning = st.floats(-1e3, 1e3)
+
+
+def _guard_outcome(s, dt):
+    try:
+        _check_conditioning(s, dt)
+    except errors.NumericalError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    o1=_rabi, threshold_ratio=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    o2=_rabi, o3=_rabi, phi=st.floats(0, 2 * math.pi),
+    g1=_decay, g2=_decay, g3=_decay, g4=_decay,
+    dp=_wide_detuning, db=_wide_detuning, d1=_wide_detuning, d2=_wide_detuning,
+    a1=_sign, a2=_sign, a3=_sign, kv=_wide_detuning,
+)
+@example(**ROUTE_DRAWS[0], threshold_ratio=None)
+@example(**ROUTE_DRAWS[1], threshold_ratio=None)
+@example(**ROUTE_DRAWS[2], threshold_ratio=None)
+# spectrum --preset fig2a --grid 1e15:1e15:3: SingularSystem, cond 1.414e+16
+@example(o1=0.1, threshold_ratio=None, o2=1.0, o3=0.7, phi=math.pi / 2,
+         g1=0.1, g2=0.1, g3=0.1, g4=0.1, dp=1e15, db=0.0, d1=0.0, d2=0.0,
+         a1=1.0, a2=1.0, a3=1.0, kv=0.0)
+# a diagonal M of condition number 3 whose cofactors overflow: CouplingOverflow
+@example(**{**ROUTE_DRAWS[0], "o1": 0.0, "o2": 0.0, "o3": 0.0, "g2": 1.1287606188244725e103},
+         threshold_ratio=None)
+# a huge field: CouplingOverflow
+@example(o1=0.1, threshold_ratio=None, o2=1e200, o3=0.7, phi=math.pi / 2,
+         g1=0.1, g2=0.1, g3=0.1, g4=0.1, dp=0.0, db=0.0, d1=0.0, d2=0.0,
+         a1=1.0, a2=1.0, a3=1.0, kv=0.0)
+def test_dissipation_margin_certifies_only_what_the_exact_pass_admits(
+        o1, threshold_ratio, o2, o3, phi, g1, g2, g3, g4, dp, db, d1, d2,
+        a1, a2, a3, kv):
+    """Where the bound admits a batch, the exact condition number is under
+    it at every point, and the guard raises exactly what it raises with
+    the bound bypassed.  threshold_ratio, when drawn, puts omega_1 at
+    that multiple of the causality threshold omega_1^2 = 4*g12*gall."""
+    if threshold_ratio is not None:
+        o1 = math.sqrt(threshold_ratio * (g1 + g2) * (g1 + g2 + g3 + g4))
+    s = SystemParams(omega_1=o1, omega_2=o2, omega_3=o3, phi=phi,
+                     gamma_1=g1, gamma_2=g2, gamma_3=g3, gamma_4=g4,
+                     delta_p=dp, delta_b=db, delta_1=d1, delta_2=d2,
+                     alpha_1=a1, alpha_2=a2, alpha_3=a3)
+    sd = shift_detunings(s, np.array([[kv, 0.5 * kv, -kv, 0.0]]),
+                         delta_p=np.array([[dp], [-dp], [dp + 1.0]]))
+    dt = denominator_terms(s, sd)
+    bound = _cond_bound(s, dt)
+    if bound <= 0.5 * COND_LIMIT:
+        cond, _ = _frobenius_cond(s, dt)
+        # the bound holds in exact arithmetic; both sides carry a few ulps
+        assert np.all(cond <= bound * (1.0 + 1e-12))
+        assert np.all(cond <= COND_LIMIT)
+    certified = _guard_outcome(s, dt)
+    with mock.patch.object(coherences, "_cond_bound", lambda s, dt: math.inf):
+        assert _guard_outcome(s, dt) == certified
+
+
+def test_every_preset_is_certified_cold_and_at_its_hot_nodes():
+    """The bound clears COND_LIMIT on every shipped preset, at kv = 0 and
+    at every weighted node of the deepest Gauss-Hermite level; the margin
+    is 0.0793 on the subluminal family and 1.586 on the superluminal."""
+    grid = np.linspace(-10.0, 10.0, 21)[:, None]
+    x, *_ = doppler._hermite(doppler.MAX_NODES)
+    for name in presets.names():
+        cfg = presets.get(name).config()
+        s = cfg.system
+        for kv in (np.zeros((1, 1)), cfg.medium.v_doppler * x[None, :]):
+            dt = denominator_terms(s, shift_detunings(s, kv, delta_p=grid))
+            assert _cond_bound(s, dt) <= 0.5 * COND_LIMIT, name
+    for name, lam in (("fig2a", 0.0793), ("fig7", 1.586)):
+        s = presets.get(name).config().system
+        dt = denominator_terms(s, shift_detunings(s, 0.0, delta_p=0.0))
+        norm_m = math.sqrt(float(np.sum(np.abs(build_system_matrix(s, dt)) ** 2)))
+        assert math.sqrt(3.0) * norm_m / _cond_bound(s, dt) == pytest.approx(lam, abs=5e-4)
 
 
 # A draw on which the random test above has failed (unit decays, zero

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chiralight import optics, presets
+from chiralight import optics, params, presets
 from chiralight.cli import main
 from chiralight.errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
                                NoRootInBracket, RootSearchFailed)
@@ -76,6 +76,40 @@ def test_branch_jump_detected_on_coarse_path():
     with pytest.raises(BranchJump, match="between Delta_p = -0.5 and 2.25$"):
         optics.refractive_index(OpticalResponse(chi_e, zero, zero, zero),
                                 np.array([-0.5, 2.25]))
+
+
+# A cold_scan benchmark draw above the causality threshold
+# (omega_1^2/(4*g12*gall) = 4.96), copied here so the test stands alone.
+ABOVE_THRESHOLD_DRAW = {
+    "system": {"omega_1": 4.031265447525243, "omega_2": 0.38414618250488797,
+               "omega_3": 3.4329888017375967, "gamma_1": 0.134677631483683,
+               "gamma_2": 1.0521442705535573, "gamma_3": 1.3389596131245323,
+               "gamma_4": 0.23631306411279654, "delta_b": 0.7385566950016345,
+               "delta_1": -0.17546367551617115, "delta_2": 0.0019249193547563603,
+               "phi": 5.204433762927935, "alpha_1": -1.0, "alpha_2": 1.0, "alpha_3": 1.0},
+    "medium": {"density_coupling": 1.1009904237496486, "length_L": 0.0010172015438318538},
+}
+
+
+def test_tracked_root_continues_where_the_principal_root_crosses_the_cut():
+    """Tracking is not the principal root above the causality threshold.
+
+    On this draw the radicand w crosses the negative real axis between
+    the stencil points 1.602 and 1.608: the tracked root continues, and
+    np.sqrt(w + 0.0) jumps by 2.05 there, so replacing the tracking by
+    the principal root (ROADMAP item 15) would raise BranchJump here.
+    """
+    cfg = params.from_dict(ABOVE_THRESHOLD_DRAW)
+    grid = np.linspace(-10.0, 10.0, 2001)
+    optics.group_index_curve(cfg, grid)  # no BranchJump
+    path = np.unique(grid[:, None] + optics.DEFAULT_STEP * optics._STENCIL)
+    r = optics.spectrum(cfg, path)
+    w = (1.0 + r.chi_e) * (1.0 + r.chi_m) - 0.25 * (r.xi_eh + r.xi_he) ** 2
+    jumps = np.abs(np.diff(np.sqrt(w + 0.0)))
+    i = int(np.argmax(jumps))
+    assert jumps[i] > optics.BRANCH_JUMP_LIMIT
+    assert path[i] == pytest.approx(1.602) and path[i + 1] == pytest.approx(1.608)
+    assert w[i].real < 0.0 and w[i].imag < 0.0 < w[i + 1].imag
 
 
 # ---------------------------------------------------------------------------
