@@ -21,7 +21,12 @@ second quadrature and against an all-node evaluation.
 Integrands return a sequence of component arrays (last axis = kv) and
 averages come back as a tuple.  Reductions use numpy's pairwise
 summation over all n nodes of a level in a fixed order, the skipped
-ones as exact zeros, so results are deterministic.
+ones as exact zeros, so results are deterministic.  A level's sums, L1
+floors and convergence test are array reductions over the stacked
+(component x point) values.  Below 512 nodes every node carries weight
+and the products are summed as they are; from 512 on each component's
+products pass through one zeroed full-width row, reused across the
+components.  A level's values are dropped before f builds the next.
 
 The nodes and weights are not computed at run time: they are read from
 ``gauss_hermite.npz`` in this package on the first hot average, never
@@ -65,6 +70,8 @@ _BLOCK_BUDGET = 16384
 # w{n} and the outermost node top{n}
 _TABLE = "gauss_hermite.npz"
 
+_SQRT_PI = np.sqrt(np.pi)
+
 
 @functools.cache
 def _hermite(n: int):
@@ -84,31 +91,49 @@ def _hermite(n: int):
     return np.concatenate((-half_x[::-1], half_x)), w, lo, hi, top
 
 
-def _weighted_sum(c, w, lo, hi):
-    """(c * w).sum(axis=-1) for c sampled at the nodes lo:hi only.
+def _weighted_sum(vals, w, lo, hi, magnitude=False):
+    """(c * w).sum(axis=-1) for each component c of vals, stacked.
 
-    The products go into a zeroed full-width row, so numpy's pairwise
-    summation runs the same tree over the same values as it would on all
-    n nodes: only the sign of an exactly-zero total can differ.
+    The components are sampled at the nodes lo:hi only; with magnitude
+    the sums are of |c| * w.  Where every node carries weight (lo == 0
+    and hi == n) the stacked products are summed as they are.
+    Otherwise each component's products go into one zeroed full-width
+    row, reused across the components, so numpy's pairwise summation
+    runs the same tree over the same values as it would on all n
+    nodes: only the sign of an exactly-zero total can differ.  Rows
+    stacked over the components would hold all of them at once.
     """
-    prod = c * w[lo:hi]
-    row = np.zeros(prod.shape[:-1] + w.shape, dtype=prod.dtype)
-    row[..., lo:hi] = prod
-    return row.sum(axis=-1)
+    n = w.size
+    if lo == 0 and hi == n:
+        c = np.abs(vals) if magnitude else np.asarray(vals)
+        return (c * w).sum(axis=-1)
+    dtype = float if magnitude else np.result_type(*vals, w)
+    row = np.zeros(np.shape(vals[0])[:-1] + (n,), dtype=dtype)
+    sums = np.empty((len(vals),) + row.shape[:-1], dtype=dtype)
+    live, w_live = row[..., lo:hi], w[lo:hi]
+    for k, c in enumerate(vals):
+        if magnitude:
+            np.multiply(np.abs(c, out=live), w_live, out=live)
+        else:
+            np.multiply(c, w_live, out=live)
+        row.sum(axis=-1, out=sums[k, ...])
+    return sums
 
 
 def _rel_change(new, old, floor):
     """Max over components of point-wise change relative to component scale.
 
-    floor (per component) anchors the scale to the L1 average of the
-    integrand, so results that vanish by cancellation (odd integrands)
-    still register as converged.
+    new and old stack the components on the first axis.  floor (per
+    component) anchors the scale to the L1 average of the integrand, so
+    results that vanish by cancellation (odd integrands) still register
+    as converged.  A component whose change is NaN is skipped, as
+    Python's max skips it, so a NaN component does not hold the ladder.
     """
-    err = 0.0
-    for c_new, c_old, c_floor in zip(new, old, floor):
-        scale = max(float(np.max(np.abs(c_new))), float(c_floor), 1e-300)
-        err = max(err, float(np.max(np.abs(c_new - c_old))) / scale)
-    return err
+    points = tuple(range(1, new.ndim))
+    # Python's max(peak, floor, 1e-300): NaN where the peak is NaN, never for a NaN floor
+    scale = np.maximum(np.abs(new).max(axis=points), np.fmax(floor, 1e-300))
+    change = np.abs(new - old).max(axis=points)
+    return max(0.0, *(d / s for d, s in zip(change.tolist(), scale.tolist())))
 
 
 def doppler_average(f, v_d: float):
@@ -130,12 +155,14 @@ def doppler_average(f, v_d: float):
         if not np.isfinite(v_d * top):
             raise CouplingOverflow(f"Gauss-Hermite nodes overflow at v_d = {v_d:g}")
         vals = f(v_d * x)
-        cur = np.array([_weighted_sum(c, w, lo, hi) for c in vals]) / np.sqrt(np.pi)
+        cur = _weighted_sum(vals, w, lo, hi) / _SQRT_PI
         if prev is not None:
-            floor = [_weighted_sum(np.abs(c), w, lo, hi).max() / np.sqrt(np.pi)
-                     for c in vals]
+            l1 = _weighted_sum(vals, w, lo, hi, magnitude=True)
+            floor = l1.reshape(len(l1), -1).max(axis=1) / _SQRT_PI
             if _rel_change(cur, prev, floor) < REL_TOL:
                 return tuple(cur)
+        # drop this level's values before f builds the next, larger level
+        del vals
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
@@ -159,12 +186,14 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
 
         def f(kv, _sub=sub):
             step = max(1, _BLOCK_BUDGET // kv.size)
-            out = [np.empty((_sub.size, kv.size), dtype=complex) for _ in range(4)]
+            if step >= _sub.size:
+                return response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None]).components()
+            out = np.empty((4, _sub.size, kv.size), dtype=complex)
             for i in range(0, _sub.size, step):
                 r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[i:i + step, None])
                 for o, c in zip(out, r.components()):
                     o[i:i + step] = c
-            return out
+            return tuple(out)
 
         parts.append(doppler_average(f, cfg.medium.v_doppler))
     return response_mod.OpticalResponse(*(np.concatenate(c) for c in zip(*parts)))

@@ -9,7 +9,6 @@ import functools
 import numpy as np
 
 from chiralight import doppler
-from chiralight.doppler import _rel_change
 from chiralight.errors import QuadratureNotConverged
 from chiralight.params import C_LIGHT
 from chiralight.pulse import normalized
@@ -44,6 +43,22 @@ def cond_frobenius(M):
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(det == 0, np.inf, norm_m * norm_adj / np.abs(det))
     return cond
+
+
+def _rel_change(new, old, floor):
+    """Max over components of point-wise change relative to component scale.
+
+    floor (per component) anchors the scale to the L1 average of the
+    integrand, so results that vanish by cancellation (odd integrands)
+    still register as converged.  A per-component loop under Python's
+    max, which skips a NaN change, kept apart from the production test
+    so that the two quadratures share no helper.
+    """
+    err = 0.0
+    for c_new, c_old, c_floor in zip(new, old, floor):
+        scale = max(float(np.max(np.abs(c_new))), float(c_floor), 1e-300)
+        err = max(err, float(np.max(np.abs(c_new - c_old))) / scale)
+    return err
 
 
 @functools.cache

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, roots_hermite
 
-from chiralight import doppler, errors, presets
+from chiralight import doppler, errors, optics, presets
 from chiralight.doppler import COLD_WIDTH, doppler_average, hot_response
 from chiralight.params import MediumParams, SystemParams, validate, with_overrides
 from chiralight.response import response_at
+from oracles import _rel_change as oracle_rel_change
 from oracles import full_node_gauss_hermite_average, trapezoid_average
 
 # closed form of (1/sqrt(pi)) * integral exp(-u^2)/(1 + i*u) du
@@ -153,6 +154,7 @@ SIGN = st.sampled_from((1.0, -1.0))
 @example(v_d=0.5, delta_p=[0.0], alphas=(1.0, 1.0, 1.0))  # fig8ab: the 2048-node level
 @example(v_d=1.0, delta_p=[0.0], alphas=(1.0, 1.0, 1.0))  # the 8192-node level
 @example(v_d=1.0, delta_p=[0.0], alphas=(1.0, -1.0, 1.0))  # QuadratureNotConverged
+@example(v_d=0.5, delta_p=[0.0, 0.5], alphas=(1.0, -1.0, 1.0))  # alpha_2 = -1: 8192 nodes
 def test_zero_weight_nodes_skipped_bit_for_bit(v_d, delta_p, alphas):
     """Evaluating only the nodes that carry weight gives the same bits (or
     the same error) as evaluating every node on the narrow fig8ab family,
@@ -170,6 +172,87 @@ def test_zero_weight_nodes_skipped_bit_for_bit(v_d, delta_p, alphas):
     assert got_error == want_error
     if want is not None:
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+COMPLEX = st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(v_d=st.floats(0.05, 20.0),
+       poles=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.003, 1.0), COMPLEX, COMPLEX),
+                      min_size=1, max_size=4),
+       shifts=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+@example(v_d=0.3, poles=[(0.0, 1.0, 1 + 0j, 0j)], shifts=None)  # below 512 nodes
+@example(v_d=1.0, poles=[(0.0, 0.2, 1 + 0j, 0.5j)], shifts=None)  # 4096 nodes, 1-D
+@example(v_d=7.0, poles=[(0.1, 0.25, 1j, 1 + 0j), (-0.5, 0.3, 2 + 0j, 0j),
+                         (1.0, 0.5, -1 + 1j, 1j), (0.0, 0.2, 1 + 0j, 1 + 0j)],
+         shifts=[-0.3, 0.0, 0.4])  # 4096 nodes, 2-D
+@example(v_d=1.0, poles=[(0.0, 0.003, 1 + 0j, 0j)], shifts=[0.0])  # QuadratureNotConverged
+def test_rational_integrands_match_the_full_node_ladder_bit_for_bit(v_d, poles, shifts):
+    """The production ladder returns the bits (or the error) of the
+    all-node oracle on random rational integrands: per component
+    (a + b*u) / ((u - r)^2 + g^2) in u = kv/v_d, 1-D in kv or 2-D with
+    one row per shifted point, from lines broad enough to stop below
+    512 nodes to lines narrow enough to climb past MAX_NODES."""
+    def f(kv):
+        u = kv / v_d if shifts is None else kv[None, :] / v_d + np.array(shifts)[:, None]
+        return [(a + b * u) / ((u - r) ** 2 + g ** 2) for r, g, a, b in poles]
+
+    got_error, got = _outcome(doppler_average, f, v_d)
+    want_error, want = _outcome(full_node_gauss_hermite_average, f, v_d)
+    assert got_error == want_error
+    if want is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, np.inf, -np.inf, np.nan])
+ENTRY = st.builds(complex, SPECIAL | st.floats(-10.0, 10.0), SPECIAL | st.floats(-10.0, 10.0))
+NAN, INF = float("nan"), float("inf")
+ZEROS = [0j] * 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 4), points=st.sampled_from([(), (1,), (3,)]),
+       new=st.lists(ENTRY, min_size=12, max_size=12), old=st.lists(ENTRY, min_size=12, max_size=12),
+       floor=st.lists(SPECIAL | st.floats(0.0, 10.0), min_size=4, max_size=4))
+@example(k=1, points=(), new=[complex(NAN, 1.0)] + ZEROS[1:],
+         old=[complex(0.0, -INF)] + ZEROS[1:], floor=[1.0] * 4)  # NaN peak, inf change: skipped
+@example(k=2, points=(), new=[0.5 + 0j, 2.0 + 0j] + ZEROS[2:], old=[0.25 + 0j, 2.0 + 0j] + ZEROS[2:],
+         floor=[NAN, 1.0, 1.0, 1.0])  # a NaN floor leaves the peak as the scale
+def test_convergence_test_is_the_per_component_loop(k, points, new, old, floor):
+    """The array reductions of doppler._rel_change give what the oracle's
+    per-component loop under Python's max gives, NaN, inf, signed zeros
+    and NaN floors included."""
+    shape = (k,) + points
+    size = int(np.prod(shape))
+    new, old = (np.array(v[:size]).reshape(shape) for v in (new, old))
+    floor = np.array(floor[:k])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as in both
+        got = doppler._rel_change(new, old, floor)
+        want = oracle_rel_change(new, old, floor)
+    assert got == want
+
+
+def test_a_nan_component_does_not_hold_the_ladder():
+    """The convergence test skips a component whose change is NaN, as
+    Python's max over the components always has: an integrand with one
+    NaN component returns at the level the others converge at, with that
+    average NaN and the others' bits as they are without it (an
+    np.maximum over the components would raise QuadratureNotConverged
+    instead)."""
+    def lorentz(kv):
+        return 1.0 / (1.0 + 1j * kv)
+
+    def f(kv):
+        return lorentz(kv), np.full(kv.shape, complex(np.nan, np.nan)), 1.0 / (2.0 - 1j * kv)
+
+    for v_d in (1.0, 5.0):  # converges below 512 nodes, and on the padded levels
+        got = doppler_average(f, v_d)
+        alone = doppler_average(lambda kv: (lorentz(kv), 1.0 / (2.0 - 1j * kv)), v_d)
+        assert np.isnan(got[1])
+        assert np.array_equal(got[0], alone[0]) and np.array_equal(got[2], alone[1])
+        want = full_node_gauss_hermite_average(f, v_d)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want, strict=True))
 
 
 LADDER = [doppler.NODE_COUNT << k
@@ -283,6 +366,34 @@ def test_row_blocks_keep_every_bit_and_cut_the_peak(subluminal_cfg, monkeypatch)
     for a, b in zip(blocked.components(), whole.components()):
         assert np.array_equal(a, b)
     assert blocked_peak < 0.7 * whole_peak
+
+
+# tracemalloc peak of the test below before the ladder's reductions were
+# rewritten, with one zeroed row per component and sum and the previous
+# level's values alive while f built the next: 13 747 441 to 13 748 074 B
+# over four runs (numpy 2.4.6, Python 3.11.7); the rewrite reads 10.30 MB
+STENCIL_GRID_PEAK_BEFORE = 13_748_074
+
+
+def test_stencil_grid_peak_is_no_higher_than_before():
+    """hot_response on a 35-point fig8ab stencil grid at v_d = 1, which
+    climbs to the 8192-node level, peaks no higher under tracemalloc
+    than before the ladder's reductions were rewritten."""
+    cfg = with_overrides(presets.get("fig8ab").config(), medium={"v_doppler": 1.0})
+    grid = (np.linspace(-1.0, 1.0, 7)[:, None] + optics.DEFAULT_STEP * optics._STENCIL).ravel()
+    seen = []
+    hermite = doppler._hermite
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(doppler, "_hermite", lambda n: seen.append(n) or hermite(n))
+        hot_response(cfg, grid)  # loads the node table outside the trace
+    assert grid.size == 35 and max(seen) == 8192
+    tracemalloc.start()
+    try:
+        hot_response(cfg, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= STENCIL_GRID_PEAK_BEFORE
 
 
 def test_thermal_width_family_is_monotone_at_resonance():

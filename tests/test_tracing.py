@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from chiralight import optics, presets
+from chiralight import doppler, optics, presets
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_tracing", pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
@@ -32,3 +32,27 @@ def test_tracer_counts_coherence_and_doppler_work():
     for name in ("coherences.points", "coherences.build_s", "coherences.solve_s",
                  "doppler.evals"):
         assert m[name] > 0, name
+
+
+def test_tracer_counts_one_evaluation_per_point_and_weighted_node(monkeypatch):
+    """doppler.evals of one hot group_index_at on fig8ab is the five
+    stencil points times the weighted nodes, summed over the levels the
+    average climbed.  The tracer counts from the first component of the
+    integrand's sequence, so an integrand that returned one stacked
+    array of the four components would read four times this."""
+    cfg = presets.get("fig8ab").config()
+    levels = []
+    hermite = doppler._hermite
+    monkeypatch.setattr(doppler, "_hermite", lambda n: levels.append(n) or hermite(n))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        optics.group_index_at(cfg, 0.0, mode="hot")
+    finally:
+        tracer.uninstall()
+    m = tracer.layer_metrics()
+    live = [hi - lo for _, _, lo, hi, _ in map(hermite, levels)]
+    assert levels == [doppler.NODE_COUNT << k for k in range(6)]  # up to 2048 nodes
+    assert m["doppler.levels"] == len(levels)
+    assert m["doppler.evals"] == len(optics._STENCIL) * sum(live) == 13640
+    assert m["doppler.max_nodes"] == live[-1]
