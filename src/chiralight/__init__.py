@@ -23,39 +23,46 @@ optics       cold or hot spectrum, refractive/group index, delays,
 pulse        Gaussian pulse spectra, propagation, metrics
 presets      named parameter sets for the documented scenarios
 cli          command-line front end (`chiralight`)
+
+One exception, for start-up cost: cli's computing commands import
+optics and pulse (and numpy) in their own bodies, so ``--help``,
+``preset-dump`` and configuration errors run without the numerical
+layers.  For the same reason this package imports the names it
+re-exports on first access.
 """
 
-from .coherences import (CoherenceCoefficients, DenominatorTerms,
-                         ShiftedDetunings, closed_form_betas,
-                         denominator_terms, shift_detunings, solve_steady_state,
-                         steady_betas)
-from .errors import ChiralightError, ConfigurationError, NumericalError
-from .optics import (DispersionPoint, calibrate_coupling, delay_table,
-                     dispersion_coefficients, group_index_at,
-                     group_index_curve, refractive_index, spectrum,
-                     superluminal_crossover)
-from .params import (MediumParams, SystemParams, ValidatedConfig,
-                     derived_couplings, load_config, validate, with_overrides)
-from .response import OpticalResponse, response_at
-from .doppler import doppler_average, hot_response
-from .pulse import (PulseSpec, PulseTrace, propagate_analytic,
-                    propagate_numeric, pulse_metrics)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChiralightError", "ConfigurationError", "NumericalError",
-    "SystemParams", "MediumParams", "ValidatedConfig", "validate",
-    "derived_couplings", "load_config", "with_overrides",
-    "ShiftedDetunings", "DenominatorTerms", "CoherenceCoefficients",
-    "shift_detunings", "denominator_terms", "solve_steady_state",
-    "steady_betas", "closed_form_betas",
-    "OpticalResponse", "response_at", "spectrum",
-    "doppler_average", "hot_response",
-    "DispersionPoint", "refractive_index", "group_index_curve", "group_index_at",
-    "delay_table", "superluminal_crossover", "calibrate_coupling",
-    "dispersion_coefficients",
-    "PulseSpec", "PulseTrace", "propagate_analytic", "propagate_numeric",
-    "pulse_metrics",
-    "__version__",
-]
+# every re-exported name and the module that defines it
+_EXPORTS = {name: module for module, names in (
+    ("errors", "ChiralightError ConfigurationError NumericalError"),
+    ("params", "SystemParams MediumParams ValidatedConfig validate "
+               "derived_couplings load_config with_overrides"),
+    ("coherences", "ShiftedDetunings DenominatorTerms CoherenceCoefficients "
+                   "shift_detunings denominator_terms solve_steady_state "
+                   "steady_betas closed_form_betas"),
+    ("response", "OpticalResponse response_at"),
+    ("doppler", "doppler_average hot_response"),
+    ("optics", "spectrum DispersionPoint refractive_index group_index_curve "
+               "group_index_at delay_table superluminal_crossover "
+               "calibrate_coupling dispersion_coefficients"),
+    ("pulse", "PulseSpec PulseTrace propagate_analytic propagate_numeric "
+              "pulse_metrics"),
+) for name in names.split()}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    """Import the defining module of a re-exported name on first access."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,6 +13,11 @@ CSV cells print numbers with %.12g, JSON numbers as exact doubles
 (shortest round-trip repr), so repeated runs are byte-identical.
 Exit codes: 0 success, 2 configuration error (every violation is
 listed), 3 numerical failure (named).
+
+Only the commands that compute import numpy and the numerical layers
+(optics, pulse), in their own bodies and after their arguments are
+checked: ``--help``, ``preset-dump`` and every configuration error
+start without them.
 """
 
 from __future__ import annotations
@@ -20,13 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
-import numpy as np
-
-from . import optics, presets
-from . import pulse as pulse_mod
+from . import presets
 from .errors import ConfigurationError, NumericalError
 from .params import from_dict, load_config, to_dict, with_overrides
 
@@ -47,12 +50,13 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (float, np.floating)):
+    # numpy registers its floating types as Real (not Integral)
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
         return float(value) + 0.0
     return value
 
 
-def parse_grid(text: str) -> np.ndarray:
+def parse_grid(text: str):
     """Parse 'lo:hi:count' into a uniform detuning grid."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -71,10 +75,12 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigurationError(f"bad --grid {text!r}: span hi - lo overflows")
     if count < 1:
         raise ConfigurationError(f"bad --grid {text!r}: empty grid (count < 1)")
-    # numpy's array limit, which linspace applies to float(count)
-    limit = np.iinfo(np.intp).max // np.dtype(float).itemsize
+    # numpy's limit on an array of 8-byte floats (sys.maxsize is the
+    # largest intp), which linspace applies to float(count)
+    limit = sys.maxsize // 8
     if count >= limit or float(count) >= limit:
         raise ConfigurationError(f"bad --grid {text!r}: count too large")
+    import numpy as np
     return np.linspace(lo, hi, count)
 
 
@@ -164,7 +170,7 @@ def _emit(args, table):
     The columns are numpy arrays or lists of one length; None is an
     empty CSV cell and a JSON null.  Numbers print with %.12g in CSV.
     """
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+    rows = zip(*(c.tolist() if hasattr(c, "tolist") else c
                  for c in table.values()), strict=True)
     if args.format == "json":
         return _write_json(args, [dict(zip(table, row)) for row in rows])
@@ -179,6 +185,8 @@ def cmd_spectrum(args) -> int:
     grid = parse_grid(args.grid)
     vd_list = _float_list(args.vd, "--vd", scenario and scenario.vd_list,
                           cfg.medium.v_doppler)
+    import numpy as np
+    from . import optics
 
     names = ("chi_e", "chi_m", "xi_eh", "xi_he")  # resp.components() order
     columns = ["delta_p", "mode", "v_doppler",
@@ -207,6 +215,7 @@ def cmd_delay(args) -> int:
     modes = _modes(args, scenario)
     omega3s = _float_list(args.omega3, "--omega3", scenario and scenario.omega3_list,
                           cfg.system.omega_3)
+    from . import optics
 
     base = scenario.name if scenario is not None else "config"
     scenarios = []
@@ -230,6 +239,7 @@ def cmd_crossover(args) -> int:
         lo, hi = scenario.omega3_list[0], scenario.omega3_list[-1]
     else:
         lo, hi = 1.5, 5.0
+    from . import optics
     star = optics.superluminal_crossover(cfg, lo, hi, xtol=args.tol)
     return _emit(args, {"omega3_lo": [lo], "omega3_hi": [hi], "xtol": [args.tol],
                         "omega3_star": [star]})
@@ -237,29 +247,24 @@ def cmd_crossover(args) -> int:
 
 # -------------------------------------------------------------------- pulse
 
-def _pulse_series(args, cfg, scenario, modes):
-    """Resolve (label, n_0, g_vd[SI]) for every requested series."""
-    if args.vacuum:
-        return [("vacuum", 1.0, 0.0)]
-    series = []
-    for mode in modes:
-        if scenario is not None and scenario.pulse_constants:
-            coeff = presets.pulse_dispersion_si(scenario, mode)
-        else:
-            coeff = optics.dispersion_coefficients(cfg, mode=mode)
-        series.append((mode, coeff["n_0"], coeff["g_vd"]))
-    return series
-
-
 def cmd_pulse(args) -> int:
     """|envelope|^2 of the input and each series in a time and a frequency
     section (every step-th sample, all with --full), then five metric
     rows with None under input."""
     cfg, scenario = _resolve(args)
     modes = _modes(args, scenario)
+    import numpy as np
+    from . import optics, pulse as pulse_mod
     ps = pulse_mod.PulseSpec(tau_0=args.tau0 * 1e-9, delta=args.delta)
     L = cfg.medium.length_L
-    series = _pulse_series(args, cfg, scenario, modes)
+    # (label, n_0, g_vd[SI]) per series, the constants quoted or computed
+    if args.vacuum:
+        series = [("vacuum", 1.0, 0.0)]
+    else:
+        quoted = scenario is not None and scenario.pulse_constants
+        coeffs = [presets.pulse_dispersion_si(scenario, mode) if quoted
+                  else optics.dispersion_coefficients(cfg, mode=mode) for mode in modes]
+        series = [(mode, c["n_0"], c["g_vd"]) for mode, c in zip(modes, coeffs)]
 
     peaks = [pulse_mod.arrival_time(ps, n_0, g_vd, L) for _, n_0, g_vd in series]
     t = pulse_mod.time_grid(ps, expected_peaks=[0.0] + peaks)
@@ -305,6 +310,7 @@ def cmd_calibrate(args) -> int:
     else:
         delta_p = cfg.system.delta_p
     lo, hi = parse_pair(args.bracket, "--bracket")
+    from . import optics
     kappa, achieved = optics.calibrate_coupling(cfg, args.target, delta_p,
                                                 lo, hi, mode=args.mode)
     calibrated = with_overrides(cfg, medium={"density_coupling": kappa})

@@ -696,6 +696,19 @@ def test_full_device_exits_2_without_traceback(argv, target):
     assert len(err.splitlines()) == 1
 
 
+def test_cli_sees_numpy_values_without_importing_numpy():
+    # numpy's floating scalars of every width become plain floats; its
+    # integers and booleans, and Python's, pass through as they are
+    values = [np.float64(-0.0), np.float32(0.5), np.float16(-2), np.longdouble(1),
+              np.int64(3), np.bool_(True), True, 7]
+    out = _jsonable(values)
+    assert [type(v) for v in out[:4]] == [float] * 4
+    assert json.dumps(out[:4]) == "[0.0, 0.5, -2.0, 1.0]"
+    assert all(a is b for a, b in zip(out[4:], values[4:]))
+    # parse_grid's limit is numpy's largest array of doubles
+    assert sys.maxsize // 8 == np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 def test_negative_zero_prints_as_zero(tmp_path, capsys):
     assert _fmt(-0.0) == _fmt(np.float64(-0.0)) == "0"
     assert json.dumps(_jsonable({"a": [-0.0, np.float64(-0.0)]})) == '{"a": [0.0, 0.0]}'

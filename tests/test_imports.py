@@ -1,5 +1,11 @@
 """What a command imports, checked in a fresh interpreter per case.
 
+The front end runs without numpy: ``import chiralight``, building the
+CLI parser, ``--help``, ``preset-dump`` and every configuration error
+load no ``numpy*`` module, which is about half of a command's start-up
+time.  Only the commands that compute load numpy and the numerical
+layers, and they print the golden bytes.
+
 The package runs on numpy alone: no command loads any ``scipy*``
 module.  The thermal (Gauss-Hermite) average reads its nodes from the
 table shipped in the package, and the root searches run Brent's method
@@ -24,17 +30,20 @@ from test_cli_golden import GOLDEN
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # imports chiralight, runs cli.main(argv) when argv is given, and names
-# the exit code and every loaded module whose name starts with "scipy"
-# on its last stderr line
+# the exit code (argparse's too) and every loaded module whose name
+# starts with "scipy" or "numpy" on its last stderr line
 PROBE = """\
 import sys
 import chiralight
 code = 0
 if sys.argv[1:]:
     from chiralight import cli
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 sys.stdout.flush()
-print(code, *sorted(m for m in sys.modules if m.startswith("scipy")),
+print(code, *sorted(m for m in sys.modules if m.startswith(("scipy", "numpy"))),
       file=sys.stderr)
 """
 
@@ -61,6 +70,33 @@ def _fresh(command, prelude=""):
     return int(code), proc.stdout, set(loaded)
 
 
+def _scipy(loaded):
+    return {m for m in loaded if m.startswith("scipy")}
+
+
+def _numpy(loaded):
+    return {m for m in loaded if m.startswith("numpy")}
+
+
+@pytest.mark.parametrize("command, prelude, expected", [
+    ("", "", 0),
+    ("", "import chiralight.cli\nchiralight.cli.build_parser()\n", 0),
+    ("--help", "", 0),
+    ("preset-dump fig8", "", 0),
+    ("preset-dump", "", 0),
+    ("spectrum --preset nosuch", "", 2),
+    ("spectrum --preset fig2a --grid 1:2", "", 2),
+    ("spectrum --config {config}", "", 2),
+], ids=["import", "build-parser", "help", "preset-dump-fig8", "preset-dump-all",
+        "unknown-preset", "bad-grid", "unknown-config-key"])
+def test_front_end_loads_no_numpy(tmp_path, command, prelude, expected):
+    config = tmp_path / "unknown-key.json"
+    config.write_text('{"system": {"omega_4": 1.0}}')
+    code, _, loaded = _fresh(command.format(config=config), prelude)
+    assert code == expected
+    assert loaded == set()
+
+
 @pytest.mark.parametrize("command", [
     "",
     "spectrum --preset fig2a --grid -1:1:5",
@@ -73,21 +109,26 @@ def _fresh(command, prelude=""):
 def test_command_loads_only_the_scipy_it_uses(command):
     code, _, loaded = _fresh(command)
     assert code == 0
-    assert loaded == set()
+    assert _scipy(loaded) == set()
 
 
-@pytest.mark.parametrize("command", [
-    "pulse --preset fig8ab --vacuum",
-    "spectrum --preset fig4a --mode hot --grid -1:1:5",
-    "calibrate --preset fig8ab --target 1415.65",
-    "calibrate --preset fig8ab --target 1618.15 --mode hot --quantity n_0",
-    "crossover --preset fig7",
-], ids=["pulse-vacuum", "hot-spectrum", "calibrate", "hot-calibrate",
-        "crossover"])
+NAMED = {
+    "pulse --preset fig8ab --vacuum": "pulse-vacuum",
+    "spectrum --preset fig4a --mode hot --grid -1:1:5": "hot-spectrum",
+    "calibrate --preset fig8ab --target 1415.65": "calibrate",
+    "calibrate --preset fig8ab --target 1618.15 --mode hot --quantity n_0": "hot-calibrate",
+    "crossover --preset fig7": "crossover",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN), ids=lambda c: NAMED.get(c, c))
 def test_import_on_first_use_keeps_the_golden_bytes(command):
+    """Every golden command in a fresh interpreter: the same bytes, and
+    numpy loaded exactly by the commands that compute."""
     code, out, loaded = _fresh(command)
     assert code == 0
-    assert loaded == set()
+    assert _scipy(loaded) == set()
+    assert bool(_numpy(loaded)) != command.startswith("preset-dump")
     assert hashlib.sha256(out).hexdigest() == GOLDEN[command]
 
 
@@ -107,7 +148,7 @@ def test_scipy_blocker_makes_import_scipy_fail():
 def test_hot_commands_run_with_scipy_unimportable(command):
     code, out, loaded = _fresh(command, prelude=NO_SCIPY)
     assert code == 0
-    assert loaded == set()
+    assert _scipy(loaded) == set()
     assert hashlib.sha256(out).hexdigest() == GOLDEN[command]
 
 
@@ -115,3 +156,10 @@ def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from chiralight import *", namespace)  # AttributeError on a stale name
     assert set(chiralight.__all__) <= namespace.keys()
+    assert set(chiralight.__all__) <= set(dir(chiralight))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        chiralight.no_such_name  # noqa: B018
+    assert chiralight.cli.__name__ == "chiralight.cli"  # submodules still import

@@ -1,9 +1,14 @@
 """How the ``chiralight`` modules may read one another.
 
 Layers: every sibling import (``from . import x``, ``from .x import y``)
-sits at module level and names a module earlier in ``LAYERS``, so the
-package imports strictly downward and no import is deferred into a
-function.  ``__init__`` re-exports everything and is exempt.
+names a module earlier in ``LAYERS``, so the package imports strictly
+downward, and sits at module level.  One exception, for start-up cost:
+``cli`` imports ``optics`` and ``pulse`` inside its functions, where the
+commands that compute run, so ``--help``, ``preset-dump`` and every
+configuration error start without numpy and the numerical layers.  No
+module imports through ``importlib.import_module`` or ``__import__``,
+which would hide an import from this scan.  ``__init__`` re-exports
+everything on first access and is exempt.
 
 Private names: a leading underscore marks a name as its module's own
 business.  The scan records each read of another module's ``_name``:
@@ -85,6 +90,13 @@ def test_only_params_constructs_a_config():
     assert config_constructions(PACKAGE / "params.py"), "the scan sees no constructor call in params"
 
 
+# (importing module, imported module) that may sit inside a function
+DEFERRED = {("cli", "optics"), ("cli", "pulse")}
+
+# functions that import by name at run time
+DYNAMIC_IMPORTS = {"import_module", "__import__"}
+
+
 def sibling_imports(path):
     """(imported module, at module level) for every sibling import in path."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -97,17 +109,41 @@ def sibling_imports(path):
     return found
 
 
+def dynamic_imports(path):
+    """Every mention of a run-time import function in path: a name, an
+    attribute (``importlib.import_module``) or an imported alias."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [getattr(node, field, None) for node in ast.walk(tree)
+             for field in ("id", "attr", "name")
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    return [name for name in names if name in DYNAMIC_IMPORTS]
+
+
 def test_layers_import_downward_at_module_level():
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS), "a module is missing from LAYERS"
-    bad = []
+    bad, deferred = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__init__":
             continue
         rank = LAYERS.index(path.stem)
+        bad += [f"{path.stem} uses {name}" for name in dynamic_imports(path)]
         for name, at_top in sibling_imports(path):
             if not at_top:
-                bad.append(f"{path.stem} imports {name} inside a function")
-            elif LAYERS.index(name) >= rank:
+                deferred.add((path.stem, name))
+            if LAYERS.index(name) >= rank:
                 bad.append(f"{path.stem} imports {name}, which is not below it")
+    bad += [f"{a} imports {b} inside a function" for a, b in sorted(deferred - DEFERRED)]
     assert bad == []
+    assert deferred == DEFERRED, "an allowed deferred import no module makes"
+
+
+def test_the_scan_sees_dynamic_imports(tmp_path):
+    assert dynamic_imports(PACKAGE / "__init__.py") == ["import_module"]
+    path = tmp_path / "proxy.py"
+    path.write_text("import importlib\n"
+                    "from importlib import import_module as load\n"
+                    "def f():\n"
+                    "    return importlib.import_module('.optics', 'chiralight'), "
+                    "__import__('numpy'), load('json')\n")
+    assert sorted(dynamic_imports(path)) == ["__import__", "import_module", "import_module"]
