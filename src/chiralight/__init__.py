@@ -14,7 +14,7 @@ Layout
 ------
 Each module imports only those listed above it, at module level.
 errors       named configuration and numerical errors
-params       validated system/medium parameter sets, JSON config I/O
+params       validated system, medium and pulse parameters, config I/O
 coherences   steady-state coherence solve and closed-form coefficients
 response     susceptibilities and chirality coefficients, reuse_betas
 doppler      thermal (Maxwell-Boltzmann) velocity averaging
@@ -24,11 +24,11 @@ pulse        Gaussian pulse spectra, propagation, metrics
 presets      named parameter sets for the documented scenarios
 cli          command-line front end (`chiralight`)
 
-One exception, for start-up cost: cli's computing commands import
-optics and pulse (and numpy) in their own bodies, so ``--help``,
-``preset-dump`` and configuration errors run without the numerical
-layers.  For the same reason this package imports the names it
-re-exports on first access.
+One exception, for start-up cost: cli's computing commands build every
+config and pulse spec they run, then import optics and pulse (and
+numpy) in their own bodies, so ``--help``, ``preset-dump`` and the
+configuration errors (but a root search's --tol and first bracket end)
+run without them.  For the same reason, re-exports load on first access.
 """
 
 import importlib
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 # every re-exported name and the module that defines it
 _EXPORTS = {name: module for module, names in (
     ("errors", "ChiralightError ConfigurationError NumericalError"),
-    ("params", "SystemParams MediumParams ValidatedConfig validate "
+    ("params", "SystemParams MediumParams PulseSpec ValidatedConfig validate "
                "derived_couplings load_config with_overrides"),
     ("coherences", "ShiftedDetunings DenominatorTerms CoherenceCoefficients "
                    "shift_detunings denominator_terms solve_steady_state "
@@ -48,8 +48,7 @@ _EXPORTS = {name: module for module, names in (
     ("optics", "spectrum DispersionPoint refractive_index group_index_curve "
                "group_index_at delay_table superluminal_crossover "
                "calibrate_coupling dispersion_coefficients"),
-    ("pulse", "PulseSpec PulseTrace propagate_analytic propagate_numeric "
-              "pulse_metrics"),
+    ("pulse", "PulseTrace propagate_analytic propagate_numeric pulse_metrics"),
 ) for name in names.split()}
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -14,10 +14,11 @@ CSV cells print numbers with %.12g, JSON numbers as exact doubles
 Exit codes: 0 success, 2 configuration error (every violation is
 listed), 3 numerical failure (named).
 
-Only the commands that compute import numpy and the numerical layers
-(optics, pulse), in their own bodies and after their arguments are
-checked: ``--help``, ``preset-dump`` and every configuration error
-start without them.
+A computing command parses its flags, builds every config and pulse
+spec it runs, then builds --grid (numpy's first import) and imports
+optics and pulse.  So ``--help``, ``preset-dump`` and every
+configuration error start without numpy, except a root search's --tol
+and first bracket end, which it checks after the import, as it starts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 
 from . import presets
 from .errors import ConfigurationError, NumericalError
-from .params import from_dict, load_config, to_dict, with_overrides
+from .params import PulseSpec, from_dict, load_config, to_dict, with_overrides
 
 _MODES = ("cold", "hot", "both")
 
@@ -100,7 +101,10 @@ def parse_pair(text: str, flag: str):
     return lo, hi
 
 
-def parse_float_list(text: str, flag: str) -> list:
+def _float_list(text, flag, listed, default) -> list:
+    """The flag's comma-separated values, else the preset's list, else [default]."""
+    if text is None:
+        return list(listed) if listed else [default]
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
@@ -109,13 +113,6 @@ def parse_float_list(text: str, flag: str) -> list:
     if not values:
         raise ConfigurationError(f"bad {flag} {text!r}: empty list")
     return values
-
-
-def _float_list(text, flag, listed, default) -> list:
-    """The flag's comma-separated values, else the preset's list, else [default]."""
-    if text is not None:
-        return parse_float_list(text, flag)
-    return list(listed) if listed else [default]
 
 
 def _resolve(args):
@@ -182,9 +179,14 @@ def _emit(args, table):
 
 def cmd_spectrum(args) -> int:
     cfg, scenario = _resolve(args)
-    grid = parse_grid(args.grid)
     vd_list = _float_list(args.vd, "--vd", scenario and scenario.vd_list,
                           cfg.medium.v_doppler)
+    # a thermal-width sweep only distinguishes hot curves; the cold
+    # response is independent of v_doppler, so emit it once
+    runs = [(mode, with_overrides(cfg, medium={"v_doppler": float(vd)}))
+            for mode in _modes(args, scenario)
+            for vd in (vd_list if mode == "hot" else vd_list[:1])]
+    grid = parse_grid(args.grid)
     import numpy as np
     from . import optics
 
@@ -193,17 +195,13 @@ def cmd_spectrum(args) -> int:
                *(f"{part}_{name}" for name in names for part in ("re", "im")),
                "n_r", "n_g"]
     series = []
-    for mode in _modes(args, scenario):
-        # a thermal-width sweep only distinguishes hot curves; the cold
-        # response is independent of v_doppler, so emit it once
-        for vd in (vd_list if mode == "hot" else vd_list[:1]):
-            c = with_overrides(cfg, medium={"v_doppler": float(vd)})
-            curve, resp = optics.group_index_curve(
-                c, grid, mode=mode, return_response=True)
-            series.append((grid, np.full(grid.size, mode), np.full(grid.size, float(vd)),
-                           *(part(comp) for comp in resp.components()
-                             for part in (np.real, np.imag)),
-                           curve.n_r, curve.N_g))
+    for mode, c in runs:
+        curve, resp = optics.group_index_curve(c, grid, mode=mode, return_response=True)
+        series.append((grid, np.full(grid.size, mode),
+                       np.full(grid.size, c.medium.v_doppler),
+                       *(part(comp) for comp in resp.components()
+                         for part in (np.real, np.imag)),
+                       curve.n_r, curve.N_g))
     return _emit(args, {k: np.concatenate(cells)
                         for k, cells in zip(columns, zip(*series))})
 
@@ -215,13 +213,12 @@ def cmd_delay(args) -> int:
     modes = _modes(args, scenario)
     omega3s = _float_list(args.omega3, "--omega3", scenario and scenario.omega3_list,
                           cfg.system.omega_3)
-    from . import optics
-
     base = scenario.name if scenario is not None else "config"
     scenarios = []
     for o3 in omega3s:
         c = with_overrides(cfg, system={"omega_3": float(o3)})
         scenarios.extend((f"{base}:omega3={o3:g}", c, mode) for mode in modes)
+    from . import optics
     rows = optics.delay_table(scenarios)
     for row, (_, c, _) in zip(rows, scenarios):
         row["omega_3"] = c.system.omega_3
@@ -253,15 +250,17 @@ def cmd_pulse(args) -> int:
     rows with None under input."""
     cfg, scenario = _resolve(args)
     modes = _modes(args, scenario)
+    ps = PulseSpec(tau_0=args.tau0 * 1e-9, delta=args.delta)
+    L = cfg.medium.length_L
+    # quoted constants hold for the preset's own system and medium, any length_L
+    quoted = (scenario is not None and scenario.pulse_constants
+              and cfg == with_overrides(scenario.config(), medium={"length_L": L}))
     import numpy as np
     from . import optics, pulse as pulse_mod
-    ps = pulse_mod.PulseSpec(tau_0=args.tau0 * 1e-9, delta=args.delta)
-    L = cfg.medium.length_L
     # (label, n_0, g_vd[SI]) per series, the constants quoted or computed
     if args.vacuum:
         series = [("vacuum", 1.0, 0.0)]
     else:
-        quoted = scenario is not None and scenario.pulse_constants
         coeffs = [presets.pulse_dispersion_si(scenario, mode) if quoted
                   else optics.dispersion_coefficients(cfg, mode=mode) for mode in modes]
         series = [(mode, c["n_0"], c["g_vd"]) for mode, c in zip(modes, coeffs)]

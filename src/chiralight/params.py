@@ -1,4 +1,4 @@
-"""Physical parameters, unit conventions and derived coupling constants.
+"""Physical and pulse parameters, unit conventions and derived couplings.
 
 All frequencies (Rabi frequencies, detunings, decay rates, Doppler
 width) are dimensionless, expressed in units of a common decay-rate
@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import (
     BadPropagationSign,
+    BadPulseSpec,
     ConfigurationError,
     NegativeDopplerWidth,
     NonPositiveCoupling,
@@ -86,6 +87,34 @@ class MediumParams:
     v_doppler: float = 0.0  # Doppler width, units of gamma (0 = cold)
     density_coupling: float = 1.0  # kappa_e
     dipole_ratio: float = DEFAULT_DIPOLE_RATIO  # r_mu
+
+
+@dataclass(frozen=True)
+class PulseSpec:
+    """Input pulse parameters.
+
+    tau_0 is the 1/e half-width of the field envelope (seconds, finite
+    and > 0) and delta the upshift of the pulse spectrum from the
+    carrier (rad/s, finite).  The carrier comes from the medium and the
+    sampling from pulse.N_SAMPLES and pulse.WINDOW_TAU.
+    """
+
+    tau_0: float = 5.50e-9
+    delta: float = 2.0e9
+
+    def __post_init__(self):
+        bad = []
+        if not (_finite(self.tau_0) and self.tau_0 > 0):
+            bad.append(f"tau_0 must be finite and > 0, got {self.tau_0!r}")
+        if not _finite(self.delta):
+            bad.append(f"delta must be finite, got {self.delta!r}")
+        if bad:
+            raise BadPulseSpec("invalid pulse: " + "; ".join(bad))
+
+    @property
+    def delta_w(self) -> float:
+        """Spectral width unit 2*pi/tau_0 used for reporting."""
+        return 2.0 * math.pi / self.tau_0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Gaussian probe-pulse propagation through the dispersive medium.
 
-A pulse is a PulseSpec (tau_0, delta), sampled on the grid the caller
+A pulse is a params.PulseSpec (tau_0, delta), sampled on the grid the caller
 passes (from time_grid / frequency_grid); stored samples are envelopes:
 
     E_in(t)  = exp(-t^2/tau_0^2) * exp(i*delta*t)
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics
-from .errors import AliasingDetected, BadPulseSpec, FlatTrace, WindowTooNarrow
-from .params import C_LIGHT, ValidatedConfig, _finite
+from .errors import AliasingDetected, FlatTrace, WindowTooNarrow
+from .params import C_LIGHT, PulseSpec, ValidatedConfig
 
 # Fraction of |E| tolerated at a window edge before declaring the
 # window too narrow / the transform aliased.
@@ -50,34 +50,6 @@ EDGE_ENERGY_TOL = 1.0e-6
 # Samples per time window, and the minimum window width in units of tau_0.
 N_SAMPLES = 2 ** 14
 WINDOW_TAU = 64.0
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """Input pulse parameters.
-
-    tau_0 is the 1/e half-width of the field envelope (seconds, finite
-    and > 0) and delta the upshift of the pulse spectrum from the
-    carrier (rad/s, finite).  The carrier comes from the medium and the
-    sampling from N_SAMPLES and WINDOW_TAU.
-    """
-
-    tau_0: float = 5.50e-9
-    delta: float = 2.0e9
-
-    def __post_init__(self):
-        bad = []
-        if not (_finite(self.tau_0) and self.tau_0 > 0):
-            bad.append(f"tau_0 must be finite and > 0, got {self.tau_0!r}")
-        if not _finite(self.delta):
-            bad.append(f"delta must be finite, got {self.delta!r}")
-        if bad:
-            raise BadPulseSpec("invalid pulse: " + "; ".join(bad))
-
-    @property
-    def delta_w(self) -> float:
-        """Spectral width unit 2*pi/tau_0 used for reporting."""
-        return 2.0 * np.pi / self.tau_0
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import chiralight
 from chiralight import optics, presets, pulse
 from chiralight.cli import _fmt, _jsonable, main, parse_grid
 from chiralight.errors import ConfigurationError
-from chiralight.params import C_LIGHT, MediumParams, SystemParams
+from chiralight.params import C_LIGHT, MediumParams, SystemParams, load_config, to_dict
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -237,6 +237,16 @@ def test_crossover_finds_sign_change(capsys):
     assert 3.0 < star < 4.0
 
 
+def test_crossover_without_preset_searches_the_default_bracket(tmp_path, capsys):
+    path = tmp_path / "fig7.json"
+    path.write_text(json.dumps(to_dict(presets.get("fig7").config())))
+    code, out, _ = run(capsys, "crossover", "--config", str(path))
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert (row["omega3_lo"], row["omega3_hi"]) == ("1.5", "5")
+    assert 3.0 < float(row["omega3_star"]) < 4.0
+
+
 def test_crossover_without_sign_change_is_numerical_failure(capsys):
     code, out, err = run(capsys, "crossover", "--preset", "fig2a",
                          "--omega3-range", "0.1:0.2")
@@ -284,6 +294,28 @@ def test_pulse_preset_peak_separation(capsys):
     for label in ("cold", "hot"):
         assert float(metrics["width_ratio"][label]) == pytest.approx(1.0, rel=1e-4)
         assert float(metrics["distortion"][label]) < 1e-4
+
+
+@pytest.mark.parametrize("doc, quoted", [
+    ({"medium": {"length_L": 0.03}}, True),
+    ({"system": {"omega_3": 5.0}, "medium": {"density_coupling": 3.0}}, False),
+], ids=["length-only", "other-medium"])
+def test_pulse_quotes_constants_only_for_the_presets_own_medium(tmp_path, capsys, doc,
+                                                                quoted):
+    """The quoted n_0 and G_vd hold at any length_L, on which neither
+    depends; any other override computes them from the medium."""
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "pulse", "--preset", "fig8ab", "--mode", "cold",
+                       "--config", str(path))
+    assert code == 0
+    metrics = {r["x"]: r["cold"] for r in parse_csv(out)[1] if r["section"] == "metric"}
+    scenario = presets.get("fig8ab")
+    expected = (presets.pulse_dispersion_si(scenario, "cold") if quoted else
+                optics.dispersion_coefficients(load_config(path, base=scenario.config())))
+    assert metrics["n_0"] == _fmt(expected["n_0"])
+    assert metrics["g_vd_si"] == _fmt(expected["g_vd"])
+    assert (metrics["n_0"] == "1415.65") == quoted
 
 
 @pytest.mark.parametrize("argv", [
@@ -540,6 +572,22 @@ def test_empty_list_argument_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     _assert_named_config_error(code, out, err, "ConfigurationError")
     assert f"bad {flag}" in err and "empty list" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("delay", "--preset", "fig2a", "--omega3", "1,x"),
+     "bad --omega3 '1,x': expected comma-separated numbers"),
+    (("crossover", "--preset", "fig7", "--omega3-range", "1:2:3"),
+     "bad --omega3-range '1:2:3': expected lo:hi"),
+    (("crossover", "--preset", "fig7", "--omega3-range", "a:2"),
+     "bad --omega3-range 'a:2': endpoints must be numbers"),
+    (("crossover", "--preset", "fig7", "--omega3-range", "2:1"),
+     "bad --omega3-range '2:1': need hi > lo"),
+])
+def test_malformed_list_or_pair_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    _assert_named_config_error(code, out, err, "ConfigurationError")
+    assert err == f"configuration error: ConfigurationError: {message}\n"
 
 
 def test_overflowing_detuning_grid_exits_3_without_warnings(capsys):

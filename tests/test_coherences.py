@@ -200,6 +200,18 @@ def test_singular_matrix_raises():
         _check_conditioning(s, dt)
 
 
+def test_underflowing_determinant_is_a_singular_system_on_both_routes():
+    # controls off and every decay 1e-200: M = diag(-1, -2, -1) * 1e-200,
+    # whose determinant underflows to exactly 0
+    s = SystemParams(omega_1=0.0, omega_2=0.0, omega_3=0.0, gamma_1=1e-200,
+                     gamma_2=1e-200, gamma_3=1e-200, gamma_4=1e-200)
+    sd = shift_detunings(s, np.array([0.0]), delta_p=np.array([0.0]))
+    assert next(_cofactor_expansion(s, denominator_terms(s, sd))) == 0
+    for route in (steady_betas, closed_form_betas):
+        with pytest.raises(errors.SingularSystem, match=r"singular \(det M = 0\)$"):
+            route(s, sd)
+
+
 _control = st.one_of(st.just(0.0), st.floats(0, 10))
 _decay = st.floats(1e-3, 10)
 _detuning = st.floats(-20, 20)

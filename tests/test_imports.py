@@ -3,8 +3,12 @@
 The front end runs without numpy: ``import chiralight``, building the
 CLI parser, ``--help``, ``preset-dump`` and every configuration error
 load no ``numpy*`` module, which is about half of a command's start-up
-time.  Only the commands that compute load numpy and the numerical
-layers, and they print the golden bytes.
+time.  A command builds every config and pulse spec it runs before
+numpy loads, so a bad pulse width or a bad member of a --vd or
+--omega3 series is named without it.  The one exception is a root
+search's --tol and first bracket end, checked as the search starts.
+Only the commands that compute load numpy and the numerical layers,
+and they print the golden bytes.
 
 The package runs on numpy alone: no command loads any ``scipy*``
 module.  The thermal (Gauss-Hermite) average reads its nodes from the
@@ -66,8 +70,9 @@ def _fresh(command, prelude=""):
                           capture_output=True, timeout=300, check=False,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr.decode()
-    code, *loaded = proc.stderr.decode().splitlines()[-1].split()
-    return int(code), proc.stdout, set(loaded)
+    *err, last = proc.stderr.decode().splitlines(keepends=True)
+    code, *loaded = last.split()
+    return int(code), proc.stdout, set(loaded), "".join(err)
 
 
 def _scipy(loaded):
@@ -78,23 +83,66 @@ def _numpy(loaded):
     return {m for m in loaded if m.startswith("numpy")}
 
 
+# the full stderr of the configuration errors a command names while it
+# builds its configs and pulse spec
+BUILD_ERRORS = {
+    "pulse --preset fig8ab --tau0 -1":
+        "configuration error: BadPulseSpec: invalid pulse: tau_0 must be finite "
+        "and > 0, got -1e-09\n",
+    "pulse --preset fig8ab --delta inf":
+        "configuration error: BadPulseSpec: invalid pulse: delta must be finite, "
+        "got inf\n",
+    "spectrum --preset fig2a --vd -1":
+        "configuration error: ConfigurationError: invalid configuration: v_doppler "
+        "must be finite and >= 0, got -1.0\n"
+        "  - NegativeDopplerWidth: v_doppler must be finite and >= 0, got -1.0\n",
+    "spectrum --preset fig6 --vd 0.3,-0.1 --grid -1:1:41":
+        "configuration error: ConfigurationError: invalid configuration: v_doppler "
+        "must be finite and >= 0, got -0.1\n"
+        "  - NegativeDopplerWidth: v_doppler must be finite and >= 0, got -0.1\n",
+    "delay --preset fig7 --omega3 -1":
+        "configuration error: ConfigurationError: invalid configuration: omega_3 "
+        "must be finite and >= 0, got -1.0\n"
+        "  - NonPositiveCoupling: omega_3 must be finite and >= 0, got -1.0\n",
+}
+
+
 @pytest.mark.parametrize("command, prelude, expected", [
     ("", "", 0),
     ("", "import chiralight.cli\nchiralight.cli.build_parser()\n", 0),
+    ("", "import chiralight\nchiralight.PulseSpec\n", 0),
     ("--help", "", 0),
     ("preset-dump fig8", "", 0),
     ("preset-dump", "", 0),
     ("spectrum --preset nosuch", "", 2),
     ("spectrum --preset fig2a --grid 1:2", "", 2),
     ("spectrum --config {config}", "", 2),
-], ids=["import", "build-parser", "help", "preset-dump-fig8", "preset-dump-all",
-        "unknown-preset", "bad-grid", "unknown-config-key"])
+    *((command, "", 2) for command in BUILD_ERRORS),
+], ids=["import", "build-parser", "pulse-spec", "help", "preset-dump-fig8",
+        "preset-dump-all", "unknown-preset", "bad-grid", "unknown-config-key",
+        "bad-tau0", "bad-delta", "bad-vd", "bad-second-vd", "bad-omega3"])
 def test_front_end_loads_no_numpy(tmp_path, command, prelude, expected):
     config = tmp_path / "unknown-key.json"
     config.write_text('{"system": {"omega_4": 1.0}}')
-    code, _, loaded = _fresh(command.format(config=config), prelude)
+    code, _, loaded, err = _fresh(command.format(config=config), prelude)
     assert code == expected
     assert loaded == set()
+    if command in BUILD_ERRORS:
+        assert err == BUILD_ERRORS[command]
+
+
+@pytest.mark.parametrize("command, error", [
+    ("crossover --preset fig7 --tol 0", "NonPositiveTolerance"),
+    ("calibrate --preset fig8ab --target 1415 --bracket -1:10", "NonPositiveCoupling"),
+], ids=["crossover-tol", "calibrate-bracket"])
+def test_root_search_checks_its_start_after_the_numerical_import(command, error):
+    """The stated exception: a root search checks its --tol and first
+    bracket end as it starts, with numpy loaded but nothing computed."""
+    code, out, loaded, err = _fresh(command)
+    assert code == 2
+    assert out == b""
+    assert err.startswith("configuration error: ") and f"{error}: " in err
+    assert _numpy(loaded)
 
 
 @pytest.mark.parametrize("command", [
@@ -107,7 +155,7 @@ def test_front_end_loads_no_numpy(tmp_path, command, prelude, expected):
 ], ids=["import", "cold-spectrum", "pulse-quoted", "pulse-computed",
         "preset-dump", "hot-delay"])
 def test_command_loads_only_the_scipy_it_uses(command):
-    code, _, loaded = _fresh(command)
+    code, _, loaded, _ = _fresh(command)
     assert code == 0
     assert _scipy(loaded) == set()
 
@@ -125,7 +173,7 @@ NAMED = {
 def test_import_on_first_use_keeps_the_golden_bytes(command):
     """Every golden command in a fresh interpreter: the same bytes, and
     numpy loaded exactly by the commands that compute."""
-    code, out, loaded = _fresh(command)
+    code, out, loaded, _ = _fresh(command)
     assert code == 0
     assert _scipy(loaded) == set()
     assert bool(_numpy(loaded)) != command.startswith("preset-dump")
@@ -146,7 +194,7 @@ def test_scipy_blocker_makes_import_scipy_fail():
     "delay --preset fig7 --omega3 0.7,1,1.5,5 --mode both",
 ], ids=["hot-spectrum", "hot-calibrate", "crossover", "hot-delay"])
 def test_hot_commands_run_with_scipy_unimportable(command):
-    code, out, loaded = _fresh(command, prelude=NO_SCIPY)
+    code, out, loaded, _ = _fresh(command, prelude=NO_SCIPY)
     assert code == 0
     assert _scipy(loaded) == set()
     assert hashlib.sha256(out).hexdigest() == GOLDEN[command]

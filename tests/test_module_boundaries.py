@@ -4,15 +4,15 @@ Layers: every sibling import (``from . import x``, ``from .x import y``)
 names a module earlier in ``LAYERS``, so the package imports strictly
 downward, and sits at module level.  One exception, for start-up cost:
 ``cli`` imports ``optics`` and ``pulse`` inside its functions, where the
-commands that compute run, so ``--help``, ``preset-dump`` and every
-configuration error start without numpy and the numerical layers.  No
+commands that compute run, so ``--help``, ``preset-dump`` and the
+configuration errors start without numpy and the numerical layers.  No
 module imports through ``importlib.import_module`` or ``__import__``,
 which would hide an import from this scan.  ``__init__`` re-exports
 everything on first access and is exempt.
 
 Private names: a leading underscore marks a name as its module's own
 business.  The scan records each read of another module's ``_name``:
-``from .params import _finite`` and ``optics._index_at(...)`` after
+``from .optics import _index_at`` and ``optics._index_at(...)`` after
 ``from . import optics`` alike.  Every such read must be on the
 allow-list below, and every entry of the list must still be read, so a
 crossing that goes away takes its entry along.
@@ -34,7 +34,6 @@ LAYERS = ("errors", "params", "coherences", "response", "doppler", "optics",
 # (reading module, owning module, private name)
 ALLOWED = {
     ("pulse", "optics", "_index_at"),
-    ("pulse", "params", "_finite"),
 }
 
 
@@ -51,7 +50,7 @@ def private_reads(path):
             for alias in node.names:
                 if node.module is None:  # from . import optics [as name]
                     modules[alias.asname or alias.name] = alias.name
-                elif _private(alias.name):  # from .params import _finite
+                elif _private(alias.name):  # from .optics import _index_at
                     reads.add((reader, node.module, alias.name))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)

@@ -112,6 +112,19 @@ def test_tracked_root_continues_where_the_principal_root_crosses_the_cut():
     assert w[i].real < 0.0 and w[i].imag < 0.0 < w[i + 1].imag
 
 
+def test_root_is_anchored_at_the_largest_radicand_past_a_cut_crossing():
+    """w = 1 + chi_e winds from arg 0.8 pi through the negative real axis
+    to -2i, its largest point.  Tracked from the start, the root reaches
+    -2i with Re < 0; the anchor flips the whole path onto Re >= 0 there."""
+    s = np.linspace(0.0, 1.0, 400)
+    w = (0.5 + 1.5 * s) * np.exp(1j * np.pi * (0.8 + 0.7 * s))
+    zero = np.zeros_like(w)
+    n = optics.refractive_index(OpticalResponse(w - 1.0, zero, zero, zero), s)
+    assert np.abs(np.diff(n)).max() < optics.BRANCH_JUMP_LIMIT
+    assert n[-1] == pytest.approx(np.sqrt(2.0) * np.exp(-0.25j * np.pi), rel=1e-12)
+    assert n[0] == pytest.approx(-np.sqrt(w[0]), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # derivatives and group index on synthetic spectra
 

@@ -123,6 +123,20 @@ def test_numeric_matches_analytic_for_quadratic_wavenumber():
     assert l2_difference(numeric.samples, analytic.samples) < 1e-9
 
 
+def test_default_window_holds_the_group_delayed_peak():
+    """Without t, the window is placed from the slope of Re k at band
+    center: a 283 ns delay, past the 176 ns half-width of a window
+    around t = 0, lands where the closed form puts it, unaliased."""
+    ps = pulse.PulseSpec()
+    n_0, g_vd = 1415.65, 5.0e-18
+    numeric = pulse.propagate_numeric(ps, quadratic_wavenumber(n_0, g_vd), L)
+    t = numeric.grid
+    analytic = pulse.propagate_analytic(ps, n_0, g_vd, L, t)
+    assert l2_difference(numeric.samples, analytic.samples) < 1e-9
+    m = pulse.pulse_metrics(pulse.input_envelope(ps, t), numeric)
+    assert m["peak_shift"] == pytest.approx(pulse.arrival_time(ps, n_0, g_vd, L), rel=1e-6)
+
+
 def test_output_spectrum_is_transform_of_analytic_envelope():
     ps = pulse.PulseSpec()
     n_0, g_vd = 500.0, 5.0e-16
