@@ -104,6 +104,7 @@ def _weighted_sum(vals, w, lo, hi, magnitude=False):
     stacked over the components would hold all of them at once.
     """
     n = w.size
+    # below 512 nodes one stacked sum, no per-component loop: pays on a root search's small groups
     if lo == 0 and hi == n:
         c = np.abs(vals) if magnitude else np.asarray(vals)
         return (c * w).sum(axis=-1)
@@ -186,6 +187,7 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
 
         def f(kv, _sub=sub):
             step = max(1, _BLOCK_BUDGET // kv.size)
+            # one call, no copy into out: pays on a root search's small groups
             if step >= _sub.size:
                 return response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None]).components()
             out = np.empty((4, _sub.size, kv.size), dtype=complex)

@@ -271,20 +271,24 @@ def _evaluate(f, x):
     return fx
 
 
-def _brent(f, xpre, xcur, fpre, fcur, xtol):
-    """Brent's root of f between xpre and xcur, given fpre = f(xpre) and
-    fcur = f(xcur) of opposite signs (or either zero); returns
-    (root, f(root)).
+def _brent(f, lo, hi, no_root, xtol):
+    """Brent's root of f on [lo, hi]; returns (root, f(root)).
 
+    Evaluates f at lo, then at hi, and raises no_root(f(lo), f(hi)) if
+    their signs agree, two zero ends included (SciPy returns lo there).
     A step-for-step transcription of the C brentq in SciPy
     (scipy/optimize/Zeros/brentq.c, after R. P. Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4) at rtol = ROOT_RTOL:
     the root and the points evaluated are bit-identical to SciPy's
-    brentq(f, xpre, xcur, xtol=xtol).  xcur is the latest estimate,
-    xpre the previous one and xblk the contrapoint; spre and scur are
-    the previous and current steps.  Raises RootSearchFailed after
-    ROOT_MAXITER iterations.
+    brentq(f, lo, hi, xtol=xtol).  xcur is the latest estimate, xpre
+    the previous one and xblk the contrapoint; spre and scur are the
+    previous and current steps.  Raises RootSearchFailed on a NaN f or
+    after ROOT_MAXITER iterations.
     """
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = _evaluate(f, xpre), _evaluate(f, xcur)
+    if np.sign(fpre) == np.sign(fcur):
+        raise no_root(fpre, fcur)
     if fpre == 0:
         return xpre, fpre
     if fcur == 0:
@@ -332,16 +336,6 @@ def _brent(f, xpre, xcur, fpre, fcur, xtol):
                            f"of the root search; last point x = {xcur!r}")
 
 
-def _bracketed_root(gap, lo, hi, no_root, xtol):
-    """(root, gap(root)) of gap on [lo, hi] by _brent, each point
-    evaluated once; raises no_root(g_lo, g_hi) if the ends share a sign."""
-    lo, hi = float(lo), float(hi)
-    g_lo, g_hi = _evaluate(gap, lo), _evaluate(gap, hi)
-    if np.sign(g_lo) == np.sign(g_hi):
-        raise no_root(g_lo, g_hi)
-    return _brent(gap, lo, hi, g_lo, g_hi, xtol)
-
-
 def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
                            omega3_hi: float, xtol: float = 1.0e-3) -> float:
     """Control-field strength where cold and hot group indices cross.
@@ -369,7 +363,7 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
             f"N_g_cold - N_g_hot has the same sign ({g_lo:.3g}, {g_hi:.3g}) "
             f"at both ends of [{omega3_lo:g}, {omega3_hi:g}]")
 
-    return _bracketed_root(gap, omega3_lo, omega3_hi, no_root, xtol)[0]
+    return _brent(gap, omega3_lo, omega3_hi, no_root, xtol)[0]
 
 
 def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
@@ -392,5 +386,5 @@ def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
 
     # the betas do not depend on kappa_e: solve each stencil input once
     with response_mod.reuse_betas():
-        kappa, g_root = _bracketed_root(gap, lo, hi, no_root, 1e-30)
+        kappa, g_root = _brent(gap, lo, hi, no_root, 1e-30)
     return kappa, g_root + target

@@ -345,7 +345,7 @@ def _recorded(f):
 
 
 def _planted_root_search(gap, lo=0.0, hi=1.0, xtol=1e-12):
-    return optics._bracketed_root(gap, lo, hi, AssertionError, xtol)
+    return optics._brent(gap, lo, hi, AssertionError, xtol)
 
 
 @pytest.mark.parametrize("end", [0.0, 1.0])
@@ -397,6 +397,12 @@ _GAPS = {
 # a coarse xtol, where the "- delta" of the step acceptance test decides
 @example(kind="wiggly", scale=0.01, root=-6.79, wiggle=12.0, lo=7.7, hi=14.4,
          zero_end=None, xtol=0.1)
+# the divided differences underflow to zero: the step bisects
+@example(kind="cubic", scale=1e-120, root=0.3, wiggle=1.0, lo=0.0, hi=1.0,
+         zero_end=None, xtol=1e-12)
+# both ends underflow to zero
+@example(kind="cubic", scale=1e-300, root=0.0, wiggle=1.0, lo=-1e-10, hi=1e-10,
+         zero_end=None, xtol=1e-12)
 def test_brent_matches_scipy_brentq(kind, scale, root, wiggle, lo, hi,
                                     zero_end, xtol):
     from scipy.optimize import brentq
@@ -413,12 +419,15 @@ def test_brent_matches_scipy_brentq(kind, scale, root, wiggle, lo, hi,
         expected = brentq(theirs, lo, hi, xtol=xtol)
     except RuntimeError:  # SciPy's iteration limit
         with pytest.raises(RootSearchFailed, match="after 100 iterations"):
-            optics._brent(ours, lo, hi, g_lo, g_hi, xtol)
+            optics._brent(ours, lo, hi, NoRootInBracket, xtol)
     else:
-        got, g_root = optics._brent(ours, lo, hi, g_lo, g_hi, xtol)
-        assert got == expected and g_root == f(got)
-    # SciPy evaluates both ends again; _brent is handed them
-    assert [lo, hi, *our_calls] == their_calls
+        if g_lo == 0 and g_hi == 0:  # SciPy returns lo
+            with pytest.raises(NoRootInBracket):
+                optics._brent(ours, lo, hi, NoRootInBracket, xtol)
+        else:
+            got, g_root = optics._brent(ours, lo, hi, NoRootInBracket, xtol)
+            assert got == expected and g_root == f(got)
+    assert our_calls == their_calls
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +437,8 @@ def test_brent_matches_scipy_brentq(kind, scale, root, wiggle, lo, hi,
 @pytest.mark.parametrize("argv, delta_p, mode", [
     (("--target", "1415.65"), None, "cold"),
     (("--target", "1618.15", "--mode", "hot", "--quantity", "n_0"), 0.0, "hot"),
-], ids=["cold-N_g", "hot-n_0"])
+    (("--target", "1400", "--delta-p", "0.05"), 0.05, "cold"),
+], ids=["cold-N_g", "hot-n_0", "cold-delta-p"])
 def test_calibration_equals_cli_bit_for_bit(capsys, argv, delta_p, mode):
     assert main(["calibrate", "--preset", "fig8ab", *argv]) == 0
     printed = json.loads(capsys.readouterr().out)["calibration"]

@@ -233,6 +233,17 @@ def test_flat_traces_are_rejected():
         pulse.pulse_metrics(flat, flat)
 
 
+def test_peak_at_the_last_sample_is_that_sample():
+    assert pulse._parabolic_peak(np.arange(4.0) + 0.5, [0.0, 1.0, 2.0, 3.0]) == 3.5
+
+
+def test_flat_topped_peak_is_rejected():
+    # y[1] - 2 y[2] + y[3] rounds to zero: no parabola through the top
+    y = [0.0, 1.0 - 2.0 ** -53, 1.0, 1.0]
+    with pytest.raises(FlatTrace, match=r"^degenerate \(flat-top\) peak$"):
+        pulse._parabolic_peak(np.arange(4.0), y)
+
+
 def test_undersampled_window_rejected():
     # N_SAMPLES over a 64*tau_0 window: Nyquist 1.46e11 rad/s < |delta|
     ps = pulse.PulseSpec(delta=1e12)

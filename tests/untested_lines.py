@@ -1,4 +1,5 @@
-"""List the statements of ``src/chiralight`` that no tier-1 test executes.
+"""List the statements of ``src/chiralight`` that no tier-1 test executes,
+and those that users' commands never execute.
 
 A stdlib stand-in for a coverage tool: it installs a line tracer with
 ``sys.settrace`` and ``threading.settrace``, restricted to the package
@@ -10,6 +11,12 @@ counts by its header, a simple one by any of its lines.  Docstrings,
 only in the fresh interpreters some tests start (``tests/test_imports.py``)
 is not seen.
 
+The second list is of the statements that users' commands never
+execute: the ``GOLDEN`` commands of ``tests/test_cli_golden.py`` through
+``cli.main`` and README's library quick start, run in this process
+under the same tracer before the suite, as a fresh process would run
+them.
+
 It is a script, not a test, and takes about twice as long as tier-1:
 
     PYTHONPATH=src python tests/untested_lines.py [pytest args]
@@ -18,6 +25,8 @@ The exit status is pytest's.
 """
 
 import ast
+import contextlib
+import io
 import os
 import sys
 import threading
@@ -88,13 +97,27 @@ def untested(hits):
     return report
 
 
+def run_user_commands():
+    """Run the GOLDEN commands, stdout discarded, and README's quick start."""
+    from test_cli_golden import GOLDEN
+    from test_readme import quick_start
+
+    from chiralight.cli import main as cli_main
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in GOLDEN:
+            cli_main(command.split())
+    exec(compile(quick_start(), "README.md", "exec"), {})
+
+
 def main(argv):
     import pytest
 
-    sys.path.insert(0, str(PACKAGE.parent))
+    sys.path[:0] = [str(PACKAGE.parent), str(ROOT / "tests")]
     threading.settrace(_tracer)
     sys.settrace(_tracer)
     try:
+        run_user_commands()
+        user_report = untested(_hits)
         code = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider",
                             "--continue-on-collection-errors", *argv])
     finally:
@@ -103,6 +126,9 @@ def main(argv):
     report = untested(_hits)
     print(f"\n{len(report)} statements in src/chiralight no test executed:")
     print("\n".join(report))
+    print(f"\n{len(user_report)} statements in src/chiralight the golden "
+          "commands and README's quick start never executed:")
+    print("\n".join(user_report))
     return int(code)
 
 
