@@ -21,7 +21,10 @@ Two deliberately independent output paths:
   at t = L*n_0/c + L*G_vd*delta with width tau_0*sqrt(1 + Xi^2),
   Xi = 2*L*G_vd/tau_0^2;
 * :func:`propagate_numeric` -- FFT convolution against an arbitrary
-  sampled k(nu), including complex (absorbing) spectra.
+  sampled k(nu), including complex (absorbing) spectra.  k(nu) is
+  sampled only where the input spectrum is non-zero: elsewhere the
+  output spectrum is an exact 0, which adds nothing to any non-zero
+  FFT sum, so the skip is exact for a pointwise k(nu).
 
 One rule, in :func:`frequency_grid` and before any trace, decides
 whether a window's band holds the pulse: the input spectrum must fall
@@ -168,11 +171,15 @@ def propagate_analytic(ps: PulseSpec, n_0: float, g_vd: float, L: float,
 def propagate_numeric(ps: PulseSpec, k_rel, L: float, t=None) -> PulseTrace:
     """FFT-convolution output against a sampled wavenumber offset.
 
-    k_rel is a callable nu -> k(nu) - k(0) (possibly complex).  The
-    time window defaults to covering the group delay estimated from
+    k_rel is a callable nu -> k(nu) - k(0) (possibly complex) and must
+    be pointwise: it is called once, on the nu where the input spectrum
+    is non-zero.  At the other nu the output spectrum is exactly 0, as
+    the product there would be a signed zero, and a zero term leaves
+    every non-zero FFT sum unchanged.
+    The time window defaults to covering the group delay estimated from
     the numerical slope of Re k_rel at band center.  Raises
     AliasingDetected if the output carries edge energy above 1e-6 of
-    its total.
+    its total, or if that fraction is not finite.
     """
     if t is None:
         dnu = 1.0 / ps.tau_0
@@ -180,18 +187,22 @@ def propagate_numeric(ps: PulseSpec, k_rel, L: float, t=None) -> PulseTrace:
         t = time_grid(ps, expected_peaks=(slope * L,))
     nu = frequency_grid(ps, t)
     spec_in = input_spectrum(ps, nu).samples
-    spec_out = spec_in * np.exp(-1j * np.asarray(k_rel(nu)) * L)
+    live = spec_in != 0.0
+    spec_out = np.zeros(nu.shape, dtype=complex)
+    spec_out[live] = spec_in[live] * np.exp(-1j * np.asarray(k_rel(nu[live])) * L)
     samples = idft(t, nu, spec_out)
     _check_wraparound(samples)
     return PulseTrace(grid=t, samples=samples)
 
 
 def _check_wraparound(samples):
-    intensity = np.abs(samples) ** 2
-    total = intensity.sum()
+    magnitude = np.abs(samples)
+    # relative to the peak, so |s|^2 cannot overflow; nan if any |s| is not finite
+    with np.errstate(invalid="ignore"):
+        intensity = (magnitude / max(float(magnitude.max()), 1e-300)) ** 2
     edge = max(1, samples.size // 64)
-    fraction = (intensity[:edge].sum() + intensity[-edge:].sum()) / max(total, 1e-300)
-    if fraction > EDGE_ENERGY_TOL:
+    fraction = (intensity[:edge].sum() + intensity[-edge:].sum()) / max(intensity.sum(), 1e-300)
+    if not fraction <= EDGE_ENERGY_TOL:
         raise AliasingDetected(
             f"window-edge energy fraction {fraction:.3e} exceeds "
             f"{EDGE_ENERGY_TOL:g}; widen the time window")

@@ -8,10 +8,10 @@ import functools
 
 import numpy as np
 
-from chiralight import doppler
+from chiralight import doppler, pulse
 from chiralight.errors import QuadratureNotConverged
 from chiralight.params import C_LIGHT
-from chiralight.pulse import normalized
+from chiralight.pulse import PulseTrace, normalized
 
 
 def cofactors(M):
@@ -159,6 +159,26 @@ def two_band_checks_reject(ps, t):
     samples = (ps.tau_0 / np.sqrt(2.0)) * np.exp(-((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
     edges = samples[[np.argmin(nu), np.argmax(nu)]]
     return bool(np.any(edges > 1.0e-8 * samples.max()))
+
+
+def full_band_propagation(ps, k_rel, L, t=None):
+    """``pulse.propagate_numeric`` with k_rel evaluated at every FFT frequency.
+
+    Including those where the input spectrum is exactly zero, which the
+    production route skips; the slope estimate, grids, transform and
+    wrap-around rule are the production ones.  For a pointwise k_rel
+    both routes must return the same bytes.
+    """
+    if t is None:
+        dnu = 1.0 / ps.tau_0
+        slope = np.real(k_rel(np.array([dnu])) - k_rel(np.array([-dnu])))[0] / (2 * dnu)
+        t = pulse.time_grid(ps, expected_peaks=(slope * L,))
+    nu = pulse.frequency_grid(ps, t)
+    spec_in = pulse.input_spectrum(ps, nu).samples
+    spec_out = spec_in * np.exp(-1j * np.asarray(k_rel(nu)) * L)
+    samples = pulse.idft(t, nu, spec_out)
+    pulse._check_wraparound(samples)
+    return PulseTrace(grid=t, samples=samples)
 
 
 def quadratic_wavenumber(n_0, g_vd):

@@ -468,7 +468,7 @@ def test_closed_form_matches_mpmath_on_the_ill_conditioned_draw():
     assert _worst_rel_to_mpmath(closed_form_betas) < 1e-14
 
 
-@pytest.mark.xfail(strict=True, reason="LU loses ~cond*eps; ROADMAP item 3 "
+@pytest.mark.xfail(strict=True, reason="LU loses ~cond*eps; ROADMAP item 13 "
                    "makes the closed form production")
 def test_steady_betas_match_mpmath_on_the_ill_conditioned_draw():
     assert _worst_rel_to_mpmath(steady_betas) < 1e-12

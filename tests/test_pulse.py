@@ -17,7 +17,8 @@ from chiralight import optics, presets, pulse
 from chiralight.errors import (AliasingDetected, BadPulseSpec, FlatTrace,
                               WindowTooNarrow)
 from chiralight.params import C_LIGHT, with_overrides
-from oracles import dft, l2_difference, quadratic_wavenumber, two_band_checks_reject
+from oracles import (dft, full_band_propagation, l2_difference, quadratic_wavenumber,
+                     two_band_checks_reject)
 
 L = 0.06
 
@@ -135,6 +136,75 @@ def test_default_window_holds_the_group_delayed_peak():
     assert l2_difference(numeric.samples, analytic.samples) < 1e-9
     m = pulse.pulse_metrics(pulse.input_envelope(ps, t), numeric)
     assert m["peak_shift"] == pytest.approx(pulse.arrival_time(ps, n_0, g_vd, L), rel=1e-6)
+
+
+class RecordingWavenumber:
+    """A quadratic k_rel that keeps a copy of every frequency array it is given."""
+
+    def __init__(self, n_0, g_vd):
+        self.k_rel = quadratic_wavenumber(n_0, g_vd)
+        self.calls = []
+
+    def __call__(self, nu):
+        self.calls.append(np.array(nu, copy=True))
+        return self.k_rel(nu)
+
+
+@pytest.mark.parametrize("given_t", [True, False])
+def test_wavenumber_is_sampled_once_on_the_spectrum_support(given_t):
+    ps = pulse.PulseSpec()
+    k_rel = RecordingWavenumber(1415.65, 5.0e-18)
+    t = pulse.time_grid(ps, expected_peaks=(0.0, L * 1415.65 / C_LIGHT)) if given_t else None
+    out = pulse.propagate_numeric(ps, k_rel, L, t)
+    nu = pulse.frequency_grid(ps, out.grid)
+    support = nu[pulse.input_spectrum(ps, nu).samples != 0.0]
+    assert 0 < support.size < nu.size
+    dnu = 1.0 / ps.tau_0
+    slope_calls = [] if given_t else [np.array([dnu]), np.array([-dnu])]
+    assert len(k_rel.calls) == len(slope_calls) + 1
+    for got, want in zip(k_rel.calls, slope_calls + [support]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+COLD_PRESETS = sorted(presets.CATALOG)
+
+
+def _bytes_or_error_name(propagate, ps, k_rel, length):
+    try:
+        trace = propagate(ps, k_rel, length)
+    except Exception as exc:  # noqa: BLE001 -- the name is what is compared
+        return type(exc).__name__
+    return trace.grid.tobytes() + trace.samples.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(preset=st.sampled_from(COLD_PRESETS), decade=st.floats(-9.5, -6.5),
+       delta_tau=st.floats(-120.0, 120.0))
+@example(preset="fig2a", decade=np.log10(5.5e-9), delta_tau=60.0)  # nu = 0 off the support
+@example(preset="fig8ab", decade=-8.0, delta_tau=-57.0)
+@example(preset="fig4a", decade=-7.0, delta_tau=0.0)
+def test_support_sampling_keeps_the_full_band_bytes(preset, decade, delta_tau):
+    # The Gaussian spectrum underflows to 0.0 beyond |nu - delta| ~ 54.6/tau_0,
+    # so |delta_tau| > 54.6 leaves the carrier nu = 0 outside the support.
+    tau_0 = 10.0 ** decade
+    ps = pulse.PulseSpec(tau_0=tau_0, delta=delta_tau / tau_0)
+    cfg = presets.get(preset).config()
+    k_rel = pulse.medium_wavenumber(cfg, ps, mode="cold")
+    length = cfg.medium.length_L
+    assert (_bytes_or_error_name(pulse.propagate_numeric, ps, k_rel, length)
+            == _bytes_or_error_name(full_band_propagation, ps, k_rel, length))
+
+
+def test_hot_support_sampling_agrees_with_the_full_band_within_criterion_2():
+    # Hot k_rel bits depend on which frequencies share a Doppler group,
+    # so the hot routes agree to the dual-quadrature tolerance, not bitwise.
+    cfg = presets.get("fig4a").config()
+    ps = pulse.PulseSpec()
+    k_rel = pulse.medium_wavenumber(cfg, ps, mode="hot")
+    got = pulse.propagate_numeric(ps, k_rel, cfg.medium.length_L)
+    want = full_band_propagation(ps, k_rel, cfg.medium.length_L, got.grid)
+    peak = float(np.max(np.abs(want.samples)))
+    assert float(np.max(np.abs(got.samples - want.samples))) <= 1e-8 * peak
 
 
 def test_output_spectrum_is_transform_of_analytic_envelope():
@@ -293,6 +363,30 @@ def test_wraparound_detected_for_forced_window():
     n_edge = 0.5 * period * C_LIGHT / L
     with pytest.raises(AliasingDetected, match="edge energy"):
         pulse.propagate_numeric(ps, quadratic_wavenumber(n_edge, 0.0), L, t)
+
+
+def _planted_trace(center):
+    ps = pulse.PulseSpec()
+    t = pulse.time_grid(ps)
+    return pulse.input_envelope(ps, t - t[center]).samples
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_wraparound_detected_at_any_scale(scale):
+    # |s|^2 overflows at 1e200: the fraction is taken relative to the peak
+    samples = scale * _planted_trace(0)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(AliasingDetected, match=r"^window-edge energy fraction 9\.542e-01 "):
+            pulse._check_wraparound(samples)
+        pulse._check_wraparound(scale * _planted_trace(pulse.N_SAMPLES // 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wraparound_check_rejects_a_non_finite_trace(bad):
+    samples = _planted_trace(pulse.N_SAMPLES // 2)
+    samples[pulse.N_SAMPLES // 3] = bad
+    with pytest.raises(AliasingDetected, match="edge energy fraction nan"):
+        pulse._check_wraparound(samples)
 
 
 @pytest.mark.parametrize("field, value", [
