@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import os
 import sys
 
 from . import presets
 from .errors import ConfigurationError, NumericalError
-from .params import PulseSpec, from_dict, load_config, to_dict, with_overrides
+from .params import PulseSpec, finite, from_dict, load_config, to_dict, with_overrides
 
 _MODES = ("cold", "hot", "both")
 
@@ -70,9 +69,9 @@ def parse_grid(text: str):
         raise ConfigurationError(
             f"bad --grid {text!r}: lo, hi must be numbers and count an "
             "integer") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (finite(lo) and finite(hi)):
         raise ConfigurationError(f"bad --grid {text!r}: lo, hi must be finite")
-    if not math.isfinite(hi - lo):
+    if not finite(hi - lo):
         raise ConfigurationError(f"bad --grid {text!r}: span hi - lo overflows")
     if count < 1:
         raise ConfigurationError(f"bad --grid {text!r}: empty grid (count < 1)")
@@ -94,7 +93,7 @@ def parse_pair(text: str, flag: str):
     except ValueError:
         raise ConfigurationError(
             f"bad {flag} {text!r}: endpoints must be numbers") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (finite(lo) and finite(hi)):
         raise ConfigurationError(f"bad {flag} {text!r}: endpoints must be finite")
     if not hi > lo:
         raise ConfigurationError(f"bad {flag} {text!r}: need hi > lo")
@@ -299,7 +298,7 @@ def cmd_pulse(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg, scenario = _resolve(args)
     for flag, value in (("--target", args.target), ("--delta-p", args.delta_p)):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not finite(value):
             raise ConfigurationError(f"bad {flag} {value!r}: must be finite")
     if args.delta_p is not None:
         delta_p = args.delta_p

@@ -34,7 +34,7 @@ from . import doppler, response as response_mod
 from .errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
                      NonPositiveTolerance, NoRootInBracket, NumericalError,
                      RootSearchFailed)
-from .params import C_LIGHT, ValidatedConfig, with_overrides
+from .params import C_LIGHT, ValidatedConfig, finite, with_overrides
 
 # |n_{i+1} - n_i| above this along a spectrum means the branch tracker
 # lost continuity.
@@ -346,7 +346,7 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
     RootSearchFailed on a NaN difference or after ROOT_MAXITER
     iterations.
     """
-    if not (np.isfinite(xtol) and xtol > 0):
+    if not (finite(xtol) and xtol > 0):
         raise NonPositiveTolerance(f"xtol must be finite and > 0, got {xtol!r}")
 
     def gap(o3):
@@ -355,13 +355,13 @@ def superluminal_crossover(cfg: ValidatedConfig, omega3_lo: float,
                 - group_index_at(c, c.system.delta_p, mode="hot").N_g)
 
     def no_root(g_lo, g_hi):
+        ends = f"[{float(omega3_lo)!r}, {float(omega3_hi)!r}]"  # unrounded
         if g_lo == 0 and g_hi == 0:
-            return NoCrossoverInRange(
-                "hot and cold group indices are identical at both ends of "
-                f"[{omega3_lo:g}, {omega3_hi:g}] (zero thermal width?)")
+            return NoCrossoverInRange("hot and cold group indices are identical at "
+                                      f"both ends of {ends} (zero thermal width?)")
         return NoCrossoverInRange(
             f"N_g_cold - N_g_hot has the same sign ({g_lo:.3g}, {g_hi:.3g}) "
-            f"at both ends of [{omega3_lo:g}, {omega3_hi:g}]")
+            f"at both ends of {ends}")
 
     return _brent(gap, omega3_lo, omega3_hi, no_root, xtol)[0]
 

@@ -104,9 +104,9 @@ class PulseSpec:
 
     def __post_init__(self):
         bad = []
-        if not (_finite(self.tau_0) and self.tau_0 > 0):
+        if not (finite(self.tau_0) and self.tau_0 > 0):
             bad.append(f"tau_0 must be finite and > 0, got {self.tau_0!r}")
-        if not _finite(self.delta):
+        if not finite(self.delta):
             bad.append(f"delta must be finite, got {self.delta!r}")
         if bad:
             raise BadPulseSpec("invalid pulse: " + "; ".join(bad))
@@ -125,8 +125,9 @@ class ValidatedConfig:
     medium: MediumParams
 
 
-def _finite(x) -> bool:
-    """A real number in the double range; booleans are not numbers here."""
+def finite(x) -> bool:
+    """The package's one test for a number from outside: a real number in
+    the double range (booleans and arrays are not numbers here)."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
@@ -135,7 +136,7 @@ def check(system: SystemParams, medium: MediumParams) -> list:
     errs = []
     for name in ("gamma_1", "gamma_2", "gamma_3", "gamma_4"):
         v = getattr(system, name)
-        if not _finite(v) or v <= 0.0:
+        if not finite(v) or v <= 0.0:
             errs.append(NonPositiveDecay(f"{name} must be finite and > 0, got {v!r}"))
     for name in ("alpha_1", "alpha_2", "alpha_3"):
         v = getattr(system, name)
@@ -143,23 +144,23 @@ def check(system: SystemParams, medium: MediumParams) -> list:
             errs.append(BadPropagationSign(f"{name} must be +1 or -1, got {v!r}"))
     for name in ("omega_1", "omega_2", "omega_3", "omega_p", "omega_b"):
         v = getattr(system, name)
-        if not _finite(v) or v < 0.0:
+        if not finite(v) or v < 0.0:
             errs.append(NonPositiveCoupling(f"{name} must be finite and >= 0, got {v!r}"))
     for name in ("delta_p", "delta_b", "delta_1", "delta_2", "phi"):
         v = getattr(system, name)
-        if not _finite(v):
+        if not finite(v):
             errs.append(NonPositiveCoupling(f"{name} must be finite, got {v!r}"))
 
-    if not _finite(medium.v_doppler) or medium.v_doppler < 0.0:
+    if not finite(medium.v_doppler) or medium.v_doppler < 0.0:
         errs.append(NegativeDopplerWidth(
             f"v_doppler must be finite and >= 0, got {medium.v_doppler!r}"))
     for name, lo in (("gamma_unit", 0.0), ("omega_14", 0.0),
                      ("length_L", 0.0), ("density_coupling", 0.0)):
         v = getattr(medium, name)
-        if not _finite(v) or v <= lo:
+        if not finite(v) or v <= lo:
             errs.append(NonPositiveCoupling(f"{name} must be finite and > 0, got {v!r}"))
     r = medium.dipole_ratio
-    if not _finite(r) or not (0.0 <= r < 1.0):
+    if not finite(r) or not (0.0 <= r < 1.0):
         errs.append(NonPositiveCoupling(
             f"dipole_ratio must satisfy 0 <= r_mu < 1, got {r!r}"))
     return errs

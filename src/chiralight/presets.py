@@ -9,14 +9,17 @@ Two base families recur throughout:
 
 Preset names follow the figure-panel naming used by the sweep recipes
 (fig2a ... fig8d); panels that share one parameter set are aliases of
-a single canonical scenario.  The pulse presets additionally carry the
-quoted first-order dispersion constants (group index n_0 and GVD in
-units of 1/(c * gamma_unit^2)) for the cold and hot medium.
+a single canonical scenario.  The figure groups (fig2 ... fig8) are read
+off those names, so `fig7` is both an alias of fig7e and all of Fig. 7.
+The pulse presets additionally carry the quoted first-order dispersion
+constants (group index n_0 and GVD in units of 1/(c * gamma_unit^2))
+for the cold and hot medium.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -157,20 +160,16 @@ ALIASES = {
     "fig8c": "fig8cd", "fig8d": "fig8cd",
 }
 
-FIGURE_GROUPS = {
-    "fig2": ("fig2a", "fig2b", "fig2e"),
-    "fig3": ("fig2a", "fig2b", "fig2e"),
-    "fig4": ("fig4a", "fig4b"),
-    "fig5": ("fig4a", "fig4b"),
-    "fig6": ("fig6",),
-    "fig7": ("fig7a", "fig7b", "fig7e"),
-    "fig8": ("fig8ab", "fig8cd"),
-}
-
 
 def names() -> list:
     """Every accepted preset name (canonical + aliases), sorted."""
     return sorted(set(CATALOG) | set(ALIASES))
+
+
+# figure (fig2 ... fig8) -> the sorted canonical presets of its panels
+_FIGURE_OF = {name: re.match(r"fig\d+", name).group() for name in names()}
+FIGURE_GROUPS = {fig: tuple(sorted({ALIASES.get(n, n) for n, f in _FIGURE_OF.items() if f == fig}))
+                 for fig in sorted(set(_FIGURE_OF.values()))}
 
 
 def get(name: str) -> Scenario:
@@ -184,9 +183,9 @@ def get(name: str) -> Scenario:
 
 
 def expand(name: str) -> tuple:
-    """The presets a name, alias or figure group stands for (a group
-    that is no preset expands: `fig7` here is all of Fig. 7, not fig7e)."""
-    if name in FIGURE_GROUPS and name not in CATALOG:
+    """The presets a name, alias or figure group stands for; a group wins
+    over an alias: `fig7` is all of Fig. 7 here, but fig7e in `get`."""
+    if name in FIGURE_GROUPS:
         return FIGURE_GROUPS[name]
     if ALIASES.get(name, name) not in CATALOG:
         raise ConfigurationError(f"unknown preset {name!r}; available: {', '.join(names())}"

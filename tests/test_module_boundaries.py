@@ -20,6 +20,11 @@ crossing that goes away takes its entry along.
 Config merges: only ``params`` constructs a config or its parts; every
 other module merges fields through ``params.from_dict`` (or a helper
 built on it), so an unknown key is named the same way on every path.
+
+BLAS/LAPACK: ``np.linalg`` is called only from the functions on the
+``LINALG`` allow-list.  Their results depend on the host's OpenBLAS
+kernel, so these are the calls that tie the printed bytes to the host;
+as with ``ALLOWED``, every entry must still be in use.
 """
 
 import ast
@@ -146,3 +151,41 @@ def test_the_scan_sees_dynamic_imports(tmp_path):
                     "    return importlib.import_module('.optics', 'chiralight'), "
                     "__import__('numpy'), load('json')\n")
     assert sorted(dynamic_imports(path)) == ["__import__", "import_module", "import_module"]
+
+
+# (module, top-level function) that may call np.linalg; ROADMAP item 13
+# takes both off the printed path and empties this list
+LINALG = {("coherences", "solve_steady_state"), ("pulse", "pulse_metrics")}
+
+
+def linalg_uses(path):
+    """(module, top-level def or '<module>') for every mention of numpy's
+    linalg in path: ``np.linalg``, ``import numpy.linalg``, ``from numpy
+    import linalg`` or ``from numpy.linalg import ...``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            names = [getattr(node, field, None) for field in ("attr", "id", "name", "module")]
+            if any(isinstance(n, str) and "linalg" in n.split(".") for n in names):
+                found.add((path.stem, owner))
+    return found
+
+
+def test_only_the_allowed_functions_call_blas():
+    uses = set().union(*map(linalg_uses, sorted(PACKAGE.glob("*.py"))))
+    assert uses - LINALG == set(), "np.linalg called outside the allow-list"
+    assert LINALG - uses == set(), "allow-list entries no module uses"
+
+
+def test_the_scan_sees_every_spelling_of_linalg(tmp_path):
+    path = tmp_path / "blas.py"
+    path.write_text("import numpy as np\n"
+                    "inv = np.linalg.inv\n"
+                    "def a():\n    import numpy.linalg\n"
+                    "def b():\n    from numpy import linalg\n"
+                    "def c():\n    from numpy.linalg import solve\n"
+                    "class D:\n    def e(self, x):\n        return np.linalg.norm(x)\n"
+                    "def f(x):\n    return np.dot(x, x)\n")
+    assert linalg_uses(path) == {("blas", name) for name in ("<module>", "a", "b", "c", "D")}

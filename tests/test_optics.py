@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from chiralight import optics, params, presets
 from chiralight.cli import main
 from chiralight.errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
-                               NoRootInBracket, RootSearchFailed)
+                               NonPositiveTolerance, NoRootInBracket, RootSearchFailed)
 from chiralight.params import C_LIGHT, with_overrides
 from chiralight.response import OpticalResponse
 
@@ -99,17 +99,44 @@ def test_tracked_root_continues_where_the_principal_root_crosses_the_cut():
     np.sqrt(w + 0.0) jumps by 2.05 there, so replacing the tracking by
     the principal root (ROADMAP item 15) would raise BranchJump here.
     """
-    cfg = params.from_dict(ABOVE_THRESHOLD_DRAW)
-    grid = np.linspace(-10.0, 10.0, 2001)
-    optics.group_index_curve(cfg, grid)  # no BranchJump
-    path = np.unique(grid[:, None] + optics.DEFAULT_STEP * optics._STENCIL)
-    r = optics.spectrum(cfg, path)
-    w = (1.0 + r.chi_e) * (1.0 + r.chi_m) - 0.25 * (r.xi_eh + r.xi_he) ** 2
-    jumps = np.abs(np.diff(np.sqrt(w + 0.0)))
+    path, w, jumps = _cut_crossings_of_the_principal_root(params.from_dict(ABOVE_THRESHOLD_DRAW))
     i = int(np.argmax(jumps))
     assert jumps[i] > optics.BRANCH_JUMP_LIMIT
     assert path[i] == pytest.approx(1.602) and path[i + 1] == pytest.approx(1.608)
     assert w[i].real < 0.0 and w[i].imag < 0.0 < w[i + 1].imag
+
+
+def _cut_crossings_of_the_principal_root(cfg):
+    """(path, w, |jumps| of np.sqrt(w + 0.0)) on cfg's stencil path over
+    -10:10:2001, after the tracked index there raised no BranchJump."""
+    grid = np.linspace(-10.0, 10.0, 2001)
+    optics.group_index_curve(cfg, grid)
+    path = np.unique(grid[:, None] + optics.DEFAULT_STEP * optics._STENCIL)
+    r = optics.spectrum(cfg, path)
+    w = (1.0 + r.chi_e) * (1.0 + r.chi_m) - 0.25 * (r.xi_eh + r.xi_he) ** 2
+    return path, w, np.abs(np.diff(np.sqrt(w + 0.0)))
+
+
+def test_principal_root_crosses_the_cut_below_the_causality_threshold():
+    """Below the threshold too, the tracked root is not the principal one.
+
+    fig2a's system sits at 1/8 of the threshold like every preset; with
+    kappa_e = 100 and r_mu = 0.1 its radicand w crosses the negative real
+    axis near Re w = -146, between the stencil points 0.649 and 0.650.
+    The tracked root continues, while np.sqrt(w + 0.0) jumps by 24.2, so
+    replacing the tracking by the principal root (ROADMAP item 15) would
+    raise BranchJump on this causal input.
+    """
+    cfg = with_overrides(presets.get("fig2a").config(),
+                         medium={"density_coupling": 100.0, "dipole_ratio": 0.1})
+    s = cfg.system
+    g12, gall = 0.5 * (s.gamma_1 + s.gamma_2), 0.5 * (s.gamma_1 + s.gamma_2 + s.gamma_3 + s.gamma_4)
+    assert s.omega_1 ** 2 / (4.0 * g12 * gall) == pytest.approx(0.125)
+    path, w, jumps = _cut_crossings_of_the_principal_root(cfg)
+    i = int(np.flatnonzero(np.isclose(path, 0.649, rtol=0.0, atol=1e-9))[0])
+    assert path[i + 1] == pytest.approx(0.650)
+    assert jumps[i] > optics.BRANCH_JUMP_LIMIT
+    assert w[i].real == pytest.approx(-145.9, abs=0.1) and w[i].imag * w[i + 1].imag < 0.0
 
 
 def test_root_is_anchored_at_the_largest_radicand_past_a_cut_crossing():
@@ -316,9 +343,33 @@ def test_crossover_evaluates_each_point_once(monkeypatch):
 
 
 def test_no_crossover_in_range_raises(monkeypatch):
+    cfg = presets.get("fig2a").config()
     _plant_group_indices(monkeypatch, lambda o3: 2.0, lambda o3: 1.0)
     with pytest.raises(NoCrossoverInRange, match="same sign"):
-        optics.superluminal_crossover(presets.get("fig2a").config(), 0.1, 0.2)
+        optics.superluminal_crossover(cfg, 0.1, 0.2)
+    # ends that agree to 6 digits are printed unrounded
+    with pytest.raises(NoCrossoverInRange, match=re.escape("ends of [1.0, 1.0000001]")):
+        optics.superluminal_crossover(cfg, 1.0, 1.0000001)
+    _plant_group_indices(monkeypatch, lambda o3: 1.0, lambda o3: 1.0)
+    with pytest.raises(NoCrossoverInRange,
+                       match=re.escape("ends of [1.0, 1.0000001] (zero thermal width?)")):
+        optics.superluminal_crossover(cfg, np.float64(1.0), 1.0000001)
+
+
+@pytest.mark.parametrize("xtol", [True, np.array([1e-3, 1e-3])], ids=["bool", "array"])
+def test_crossover_tolerance_must_be_a_number(monkeypatch, xtol):
+    # the one finiteness rule of params: no booleans, no arrays
+    _plant_group_indices(monkeypatch, lambda o3: 3.0 - o3, lambda o3: 1.0)
+    with pytest.raises(NonPositiveTolerance, match="xtol must be finite and > 0"):
+        optics.superluminal_crossover(presets.get("fig2a").config(), 1.5, 5.0, xtol=xtol)
+
+
+def test_crossover_takes_a_numpy_float_tolerance(monkeypatch):
+    _plant_group_indices(monkeypatch, lambda o3: 4.0 / o3, lambda o3: 1.5)
+    cfg = presets.get("fig2a").config()
+    root = optics.superluminal_crossover(cfg, 1.5, 5.0, xtol=1e-3)
+    assert optics.superluminal_crossover(cfg, 1.5, 5.0, xtol=np.float64(1e-3)) == root
+    assert optics.superluminal_crossover(cfg, 1.5, 5.0, xtol=1.0) != root
 
 
 def test_nan_crossover_gap_exits_3(monkeypatch, capsys):

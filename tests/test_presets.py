@@ -42,6 +42,26 @@ def test_unknown_preset_is_a_configuration_error():
         presets.get("fig99")
 
 
+def test_figure_groups_are_read_off_the_catalog():
+    # each figure's canonical presets, sorted, under sorted figure keys
+    assert list(presets.FIGURE_GROUPS.items()) == [
+        ("fig2", ("fig2a", "fig2b", "fig2e")),
+        ("fig3", ("fig2a", "fig2b", "fig2e")),
+        ("fig4", ("fig4a", "fig4b")),
+        ("fig5", ("fig4a", "fig4b")),
+        ("fig6", ("fig6",)),
+        ("fig7", ("fig7a", "fig7b", "fig7e")),
+        ("fig8", ("fig8ab", "fig8cd")),
+    ]
+
+
+def test_fig7_is_an_alias_and_a_group():
+    assert presets.get("fig7").name == "fig7e"
+    assert presets.expand("fig7") == ("fig7a", "fig7b", "fig7e")
+    assert presets.expand("fig6") == ("fig6",)
+    assert presets.expand("fig7f") == ("fig7f",)
+
+
 def test_figure_groups_cover_canonical_presets():
     members = {m for group in presets.FIGURE_GROUPS.values() for m in group}
     assert members == set(presets.CATALOG)
