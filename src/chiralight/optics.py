@@ -116,28 +116,6 @@ def _richardson(y_m2, y_m1, y_p1, y_p2, h):
     return (4.0 * d_h - d_2h) / 3.0, np.abs(d_h - d_2h) / 3.0
 
 
-def grid_derivative(y, h):
-    """Derivative of uniformly sampled y with spacing h.
-
-    Interior points use Richardson-extrapolated central differences
-    (error estimate returned alongside); the outermost two points on
-    each side fall back to plain central / one-sided second-order
-    stencils with no error estimate (nan).
-    """
-    y = np.asarray(y)
-    n = y.shape[0]
-    if n < 5:
-        raise ValueError("need at least 5 samples for the derivative stencil")
-    d = np.empty_like(y)
-    err = np.full(n, np.nan)
-    d[2:-2], err[2:-2] = _richardson(y[:-4], y[1:-3], y[3:-1], y[4:], h)
-    d[1] = (y[2] - y[0]) / (2 * h)
-    d[-2] = (y[-1] - y[-3]) / (2 * h)
-    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2 * h)
-    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2 * h)
-    return d, err
-
-
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
@@ -227,19 +205,6 @@ def dispersion_coefficients(cfg: ValidatedConfig, mode: str = "cold") -> dict:
     dng, _ = _richardson(ng[0], ng[1], ng[3], ng[4], h)
     g_vd = dng / (C_LIGHT * cfg.medium.gamma_unit)
     return {"n_0": float(ng[2]), "g_vd": float(g_vd)}
-
-
-def group_index(grid, n_complex, omega_14):
-    """Group index from a precomputed complex-index spectrum.
-
-    Differentiates the supplied uniform grid directly (Richardson in
-    the interior); used when the index does not come from this
-    package's response model (e.g. synthetic spectra).
-    """
-    grid = np.asarray(grid, dtype=float)
-    h = grid[1] - grid[0]
-    deriv, _ = grid_derivative(np.asarray(n_complex), h)
-    return np.real(np.asarray(n_complex) + (omega_14 - grid) * deriv)
 
 
 def delay_table(scenarios) -> list:
@@ -380,9 +345,9 @@ def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
 
     def no_root(g_lo, g_hi):
         return NoRootInBracket(
-            f"N_g({lo:g}) - target = {g_lo:.6g} and N_g({hi:g}) - target = "
-            f"{g_hi:.6g} have the same sign; the target group index "
-            f"{target:g} is not reachable in this bracket")
+            f"N_g({float(lo)!r}) - target = {g_lo:.6g} and "  # unrounded ends
+            f"N_g({float(hi)!r}) - target = {g_hi:.6g} have the same sign; "
+            f"the target group index {target:g} is not reachable in this bracket")
 
     # the betas do not depend on kappa_e: solve each stencil input once
     with response_mod.reuse_betas():

@@ -23,8 +23,8 @@ Two deliberately independent output paths:
 * :func:`propagate_numeric` -- FFT convolution against an arbitrary
   sampled k(nu), including complex (absorbing) spectra.  k(nu) is
   sampled only where the input spectrum is non-zero: elsewhere the
-  output spectrum is an exact 0, which adds nothing to any non-zero
-  FFT sum, so the skip is exact for a pointwise k(nu).
+  output spectrum is an exact 0, so the skip is exact for a pointwise
+  k(nu); a hot k(nu) is pointwise only to the quadrature tolerance.
 
 One rule, in :func:`frequency_grid` and before any trace, decides
 whether a window's band holds the pulse: the input spectrum must fall
@@ -130,7 +130,8 @@ def input_spectrum(ps: PulseSpec, nu) -> PulseTrace:
 def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec, mode: str = "cold"):
     """k(nu) - k(0) sampled from the full complex chiral index (1/m).
 
-    The carrier is the medium's omega_14*gamma_unit; ps does not enter k.
+    The carrier is omega_14*gamma_unit; ps does not enter k.  A hot k is
+    pointwise only to the quadrature tolerance of its hot_response group.
     """
     def k_rel(nu):
         # evaluate the band and the nu = 0 carrier point in one sorted,
@@ -172,7 +173,8 @@ def propagate_numeric(ps: PulseSpec, k_rel, L: float, t=None) -> PulseTrace:
     """FFT-convolution output against a sampled wavenumber offset.
 
     k_rel is a callable nu -> k(nu) - k(0) (possibly complex) and must
-    be pointwise: it is called once, on the nu where the input spectrum
+    be pointwise (a hot medium_wavenumber is so only to the quadrature
+    tolerance): it is called once, on the nu where the input spectrum
     is non-zero.  At the other nu the output spectrum is exactly 0, as
     the product there would be a signed zero, and a zero term leaves
     every non-zero FFT sum unchanged.

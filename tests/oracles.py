@@ -10,7 +10,7 @@ import numpy as np
 
 from chiralight import doppler, pulse
 from chiralight.errors import QuadratureNotConverged
-from chiralight.params import C_LIGHT
+from chiralight.params import C_LIGHT, MediumParams, SystemParams, validate
 from chiralight.pulse import PulseTrace, normalized
 
 
@@ -179,6 +179,47 @@ def full_band_propagation(ps, k_rel, L, t=None):
     samples = pulse.idft(t, nu, spec_out)
     pulse._check_wraparound(samples)
     return PulseTrace(grid=t, samples=samples)
+
+
+def two_level_config(width, kappa, v_doppler=0.0, alpha_3=1.0):
+    """A validated config whose medium is one two-level line.
+
+    With omega_1 = omega_2 = omega_3 = 0 the coherence matrix is
+    diagonal, and dipole_ratio = 0 removes the magnetic and cross
+    couplings, so chi_e = kappa*(i/2)/(width - i*Delta_p) is the whole
+    response (width = (gamma_1 + gamma_2)/2) and ``two_level_index``
+    gives its index in closed form.  alpha_3 enters no output.
+    """
+    return validate(
+        SystemParams(omega_1=0.0, omega_2=0.0, omega_3=0.0, gamma_1=width,
+                     gamma_2=width, gamma_3=width, gamma_4=width, alpha_3=alpha_3),
+        MediumParams(v_doppler=v_doppler, density_coupling=kappa, dipole_ratio=0.0))
+
+
+def two_level_index(delta_p, width, kappa, v_doppler=0.0):
+    """n, dn/dDelta_p and d^2n/dDelta_p^2 of ``two_level_config``'s line.
+
+    chi_e = kappa*(i/2)*f with f = 1/(width - i*Delta_p) cold.  Hot, f
+    is its Maxwellian average sqrt(pi)*w(zeta)/V_D at
+    zeta = (Delta_p + i*width)/V_D, w the Faddeeva function with
+    w' = -2*zeta*w + 2i/sqrt(pi) (Fried & Conte 1961).  n = sqrt(1 + chi_e),
+    so n' = chi'/(2n) and n'' = chi''/(2n) - chi'^2/(4n^3).
+    """
+    from scipy.special import wofz
+    x = np.asarray(delta_p, dtype=float)
+    if v_doppler == 0.0:
+        f = 1.0 / (width - 1j * x)
+        df, d2f = 1j * f ** 2, -2.0 * f ** 3
+    else:
+        z = (x + 1j * width) / v_doppler
+        w = wofz(z)
+        dw = -2.0 * z * w + 2j / np.sqrt(np.pi)
+        d2w = -2.0 * w - 2.0 * z * dw
+        f, df, d2f = (np.sqrt(np.pi) * g / v_doppler ** k
+                      for k, g in ((1, w), (2, dw), (3, d2w)))
+    chi, dchi, d2chi = (0.5j * kappa * g for g in (f, df, d2f))
+    n = np.sqrt(1.0 + chi)
+    return n, dchi / (2.0 * n), d2chi / (2.0 * n) - dchi ** 2 / (4.0 * n ** 3)
 
 
 def quadratic_wavenumber(n_0, g_vd):

@@ -23,7 +23,8 @@ import pytest
 from chiralight import coherences, doppler, optics, presets, pulse, response
 from chiralight.params import (C_LIGHT, MediumParams, SystemParams, validate,
                                with_overrides)
-from oracles import dft, l2_difference, quadratic_wavenumber, trapezoid_average
+from oracles import (dft, l2_difference, quadratic_wavenumber, trapezoid_average,
+                     two_level_config, two_level_index)
 
 DOCS = pathlib.Path(__file__).parent.parent / "docs"
 
@@ -135,15 +136,14 @@ def test_criterion_02_doppler_limit_and_dual_quadrature(record, subluminal_cfg):
 
 
 def test_criterion_03_derivative_machinery(record):
-    strength, width, omega_14 = 0.01, 2.0, 1.0e4
+    # the production stencil on a one-Lorentzian medium
+    strength, width = 0.01, 2.0
     grid = np.linspace(-1.0, 1.0, 2001)
-    n = 1.0 + strength / (grid + 1j * width)
-    n_g = optics.group_index(grid, n, omega_14)
-    dn = -strength / (grid + 1j * width) ** 2
-    n_g_true = np.real(n + (omega_14 - grid) * dn)
-    inner = slice(2, -2)
-    worst = float(np.max(np.abs(n_g - n_g_true)[inner]
-                         / np.abs(n_g_true)[inner]))
+    cfg = two_level_config(width, strength)
+    n_g = optics.group_index_curve(cfg, grid, mode="cold").N_g
+    n, dn, _ = two_level_index(grid, width, strength)
+    n_g_true = np.real(n + (cfg.medium.omega_14 - grid) * dn)
+    worst = float(np.max(np.abs(n_g - n_g_true) / np.abs(n_g_true)))
     ok = worst < 1e-6
     assert record(3, ok, f"worst rel {worst:.2e}")
 

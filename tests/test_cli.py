@@ -384,6 +384,14 @@ def test_calibrate_unreachable_target_is_numerical_failure(capsys):
     assert "NoRootInBracket" in err
 
 
+def test_unreachable_target_names_the_bracket_ends_unrounded(capsys):
+    code, out, err = run(capsys, "calibrate", "--preset", "fig8ab",
+                         "--target", "1", "--bracket", "1:1.0000001")
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: NoRootInBracket: N_g(1.0) - target = "
+                          "1606.53 and N_g(1.0000001) - target = 1606.53 ")
+
+
 # ---------------------------------------------------------------------------
 # preset-dump
 

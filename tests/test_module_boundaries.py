@@ -25,12 +25,22 @@ BLAS/LAPACK: ``np.linalg`` is called only from the functions on the
 ``LINALG`` allow-list.  Their results depend on the host's OpenBLAS
 kernel, so these are the calls that tie the printed bytes to the host;
 as with ``ALLOWED``, every entry must still be in use.
+
+Callers: every public top-level function or class of the package is
+named by a caller, that is a name, an attribute or an import alias in
+``src/``, in ``bench/*.py`` or in the README's ``python`` blocks.  The
+strings in ``__init__._EXPORTS`` are not callers, and neither are the
+tests: a route only the tests run does not belong in ``src/``.  The
+``UNCALLED`` allow-list names the exceptions; each entry must still be
+uncalled.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chiralight"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chiralight"
 
 # the import order, lowest layer first
 LAYERS = ("errors", "params", "coherences", "response", "doppler", "optics",
@@ -189,3 +199,67 @@ def test_the_scan_sees_every_spelling_of_linalg(tmp_path):
                     "class D:\n    def e(self, x):\n        return np.linalg.norm(x)\n"
                     "def f(x):\n    return np.dot(x, x)\n")
     assert linalg_uses(path) == {("blas", name) for name in ("<module>", "a", "b", "c", "D")}
+
+
+# (module, public top-level name) that no caller names: criterion 1's
+# second route, which ROADMAP item 13 moves onto the production path
+UNCALLED = {("coherences", "closed_form_betas")}
+
+
+def public_definitions(path):
+    """(module, name) for every public top-level def and class in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {(path.stem, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def named(source, filename):
+    """Every name source mentions as a name, an attribute or an import
+    alias (each dotted part); string constants do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+    return found
+
+
+def uncalled(definitions, callers):
+    """The public definitions in the files ``definitions`` that no
+    (source, filename) pair in ``callers`` names."""
+    names = set().union(*(named(*caller) for caller in callers))
+    defined = set().union(*map(public_definitions, definitions))
+    return {d for d in defined if d[1] not in names}
+
+
+def test_every_public_definition_has_a_caller():
+    package = sorted(PACKAGE.glob("*.py"))
+    readme = ROOT / "README.md"
+    callers = [(p.read_text(), str(p)) for p in package + sorted((ROOT / "bench").glob("*.py"))]
+    callers += [(block, str(readme))
+                for block in re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)]
+    found = uncalled(package, callers)
+    assert found - UNCALLED == set(), "public definitions that nothing outside the tests calls"
+    assert UNCALLED - found == set(), "allow-list entries that now have a caller"
+
+
+def test_the_caller_scan_sees_names_attributes_and_aliases(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("EXPORTS = 'unused Record'\n"
+                   "def used(): pass\n"
+                   "def unused(): pass\n"
+                   "def _private(): pass\n"
+                   "class Record: pass\n"
+                   "class Shape: pass\n"
+                   "def method_holder():\n    def inner(): pass\n    return inner\n")
+    user = ("from lib import used as run\n"
+            "import lib\n"
+            "lib.Record()\n"
+            "isinstance(run(), Shape)\n"
+            "'method_holder'\n")
+    assert uncalled([lib], [(lib.read_text(), "lib.py"), (user, "user.py")]) == {
+        ("lib", "unused"), ("lib", "method_holder")}

@@ -1,9 +1,10 @@
 """Tests for the chiral index, dispersion and delay layer.
 
-Synthetic spectra with closed-form derivatives pin the differentiation
-and branch-tracking logic independently of the response model; preset
-configurations then cover the sign conventions (subluminal delay vs
-superluminal advance) end to end.
+Synthetic responses pin the branch-tracking logic independently of the
+response model; a two-level line, whose index has a closed form cold
+and hot (``oracles.two_level_index``), pins the group-index stencil
+that every command runs; preset configurations then cover the sign
+conventions (subluminal delay vs superluminal advance) end to end.
 """
 
 import json
@@ -21,6 +22,7 @@ from chiralight.errors import (BranchJump, GridTooCoarse, NoCrossoverInRange,
                                NonPositiveTolerance, NoRootInBracket, RootSearchFailed)
 from chiralight.params import C_LIGHT, with_overrides
 from chiralight.response import OpticalResponse
+from oracles import two_level_config, two_level_index
 
 
 def _flat(chi_e=0.0, chi_m=0.0, xi_eh=0.0, xi_he=0.0):
@@ -153,50 +155,53 @@ def test_root_is_anchored_at_the_largest_radicand_past_a_cut_crossing():
 
 
 # ---------------------------------------------------------------------------
-# derivatives and group index on synthetic spectra
+# the production stencil on a two-level line, against its closed form
 
 
-def test_grid_derivative_matches_lorentzian_closed_form():
-    h = 1e-3
-    x = np.arange(-3.0, 3.0 + h / 2, h)
-    y = 1.0 / (1.0 + x**2)
-    dy_true = -2.0 * x / (1.0 + x**2) ** 2
-    d, err = optics.grid_derivative(y, h)
-    inner = slice(2, -2)
-    assert np.abs(d - dy_true)[inner].max() < 1e-9
-    assert np.nanmax(err) < 1e-5
-    assert np.isnan(err[:2]).all() and np.isnan(err[-2:]).all()
-
-
-def test_grid_derivative_needs_five_samples():
-    with pytest.raises(ValueError, match="5 samples"):
-        optics.grid_derivative(np.ones(4), 0.1)
-
-
-def test_group_index_flat_spectrum_equals_real_index():
-    grid = np.linspace(0.0, 1.0, 64)
-    n = np.full(64, 1.25 + 0.5j)
-    assert np.allclose(optics.group_index(grid, n, 1.0e4), 1.25, rtol=0, atol=1e-12)
-
-
-def test_group_index_linear_spectrum_is_constant():
-    # For n = a + b*Delta the detuning dependence cancels exactly:
-    # N_g = Re[a + b*omega_14] everywhere.
-    omega_14, a, b = 1.0e4, 1.0 + 0.0j, 2.0e-4
+@pytest.mark.parametrize("alpha_3", [1.0, -1.0])
+@pytest.mark.parametrize("width, v_doppler", [(2.0, 1.5), (0.1, 0.5)])
+def test_hot_group_index_matches_the_voigt_closed_form(width, v_doppler, alpha_3):
+    """Thermal average and stencil together: the broad line converges
+    at 128 nodes, the narrow one climbs to the padded 4096-node levels.
+    The quadrature's 1e-8 tolerance bounds the error (measured 6e-10)."""
     grid = np.linspace(-1.0, 1.0, 41)
-    ng = optics.group_index(grid, a + b * grid, omega_14)
-    assert np.allclose(ng, a.real + b * omega_14, rtol=1e-12)
+    cfg = two_level_config(width, 0.01, v_doppler=v_doppler, alpha_3=alpha_3)
+    n_g = optics.group_index_curve(cfg, grid, mode="hot").N_g
+    n, dn, _ = two_level_index(grid, width, 0.01, v_doppler)
+    expected = np.real(n + (cfg.medium.omega_14 - grid) * dn)
+    assert np.max(np.abs(n_g - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
-def test_group_index_dispersive_closed_form():
-    a, width, omega_14 = 0.01, 2.0, 1.0e4
-    grid = np.linspace(-1.0, 1.0, 2001)
-    n = 1.0 + a / (grid + 1j * width)
-    ng = optics.group_index(grid, n, omega_14)
-    ng_true = np.real(n + (omega_14 - grid) * (-a / (grid + 1j * width) ** 2))
-    inner = slice(2, -2)
-    rel = np.abs(ng - ng_true)[inner] / np.abs(ng_true)[inner]
-    assert rel.max() < 1e-6
+def _dispersion_vs_closed_form(width, kappa):
+    """n_0 and the slope dN_g/dDelta_p from dispersion_coefficients,
+    each followed by its closed form at Delta_p = 0, Re[n + omega_14 n']
+    and Re[omega_14 n''], and then |n| there."""
+    cfg = two_level_config(width, kappa)
+    got = optics.dispersion_coefficients(cfg)
+    n, dn, d2n = two_level_index(0.0, width, kappa)
+    omega_14 = cfg.medium.omega_14
+    slope = got["g_vd"] * C_LIGHT * cfg.medium.gamma_unit
+    return (got["n_0"], float(np.real(n + omega_14 * dn)),
+            slope, float(np.real(omega_14 * d2n)), abs(n))
+
+
+@pytest.mark.parametrize("kappa", [0.02, 1.0])
+def test_dispersion_coefficients_match_the_closed_form(kappa):
+    n_0, n_0_true, slope, slope_true, _ = _dispersion_vs_closed_form(0.1, kappa)
+    assert n_0 == pytest.approx(n_0_true, rel=1e-6)
+    assert slope == pytest.approx(slope_true, rel=1e-6)
+
+
+def test_broad_line_gvd_is_off_by_stencil_rounding():
+    """On a line of width 2 at kappa_e = 0.01, g_vd is only good to about
+    4e-5 relative.  The nested stencil divides rounding in n twice by h
+    and multiplies it by omega_14, so its absolute error in dN_g/dDelta_p
+    is about u*omega_14*|n|/h^2 (u = eps/2, ROADMAP items 6 and 17):
+    1e-6 here, against a slope of 0.0117.  n_0 keeps 1e-6."""
+    n_0, n_0_true, slope, slope_true, n = _dispersion_vs_closed_form(2.0, 0.01)
+    assert n_0 == pytest.approx(n_0_true, rel=1e-6)
+    u, h = np.finfo(float).eps / 2, optics.DEFAULT_STEP
+    assert abs(slope - slope_true) < 4 * u * 1.0e4 * n / h ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +281,8 @@ def test_branch_jump_names_the_detunings():
 def test_coarse_stencil_raises():
     # a Lorentzian of width 1e-3 is as narrow as the fixed step, so the
     # two Richardson levels disagree at its center (0.025 vs 0.15)
-    cfg = with_overrides(
-        presets.get("fig2a").config(),
-        system={"gamma_1": 1e-3, "gamma_2": 1e-3, "gamma_3": 1e-3,
-                "gamma_4": 1e-3, "omega_1": 0.0, "omega_2": 0.0, "omega_3": 0.0},
-        medium={"density_coupling": 1e-6})
     with pytest.raises(GridTooCoarse, match="1%.*step h=0.001"):
-        optics.group_index_curve(cfg, [0.0])
+        optics.group_index_curve(two_level_config(1e-3, 1e-6), [0.0])
 
 
 @pytest.mark.parametrize("mode", ["cold", "hot"])
@@ -514,7 +514,7 @@ def test_calibration_evaluates_each_coupling_once(monkeypatch):
 
 
 def test_unreachable_calibration_target_raises():
-    message = ("N_g(1e-08) - target = -1e+09 and N_g(10000) - target = "
+    message = ("N_g(1e-08) - target = -1e+09 and N_g(10000.0) - target = "
                "-9.99771e+08 have the same sign; the target group index "
                "1e+09 is not reachable in this bracket")
     with pytest.raises(NoRootInBracket, match=f"^{re.escape(message)}$"):
