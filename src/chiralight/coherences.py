@@ -266,7 +266,9 @@ def steady_betas(s: SystemParams, sd: ShiftedDetunings) -> CoherenceCoefficients
     """
     dt = denominator_terms(s, sd)
     _check_conditioning(s, dt)
-    return solve_steady_state(build_system_matrix(s, dt))
+    M = build_system_matrix(s, dt)
+    del dt  # M holds the diagonal terms now: not kept through the solve
+    return solve_steady_state(M)
 
 
 def closed_form_betas(s: SystemParams, sd: ShiftedDetunings) -> CoherenceCoefficients:

@@ -25,8 +25,11 @@ ones as exact zeros, so results are deterministic.  A level's sums, L1
 floors and convergence test are array reductions over the stacked
 (component x point) values.  Below 512 nodes every node carries weight
 and the products are summed as they are; from 512 on each component's
-products pass through one zeroed full-width row, reused across the
-components.  A level's values are dropped before f builds the next.
+products pass through one zeroed row over the centred power-of-two span
+that holds the weighted nodes (a subtree of the pairwise tree, so the
+sum is the full-width one), reused across the components.  A level's
+values are dropped before f builds the next, and a row block's response
+before the next block is solved.
 
 The nodes and weights are not computed at run time: they are read from
 ``gauss_hermite.npz`` in this package on the first hot average, never
@@ -97,21 +100,25 @@ def _weighted_sum(vals, w, lo, hi, magnitude=False):
     The components are sampled at the nodes lo:hi only; with magnitude
     the sums are of |c| * w.  Where every node carries weight (lo == 0
     and hi == n) the stacked products are summed as they are.
-    Otherwise each component's products go into one zeroed full-width
-    row, reused across the components, so numpy's pairwise summation
-    runs the same tree over the same values as it would on all n
-    nodes: only the sign of an exactly-zero total can differ.  Rows
-    stacked over the components would hold all of them at once.
+    Otherwise each component's products go into one zeroed row, reused
+    across the components, over the 2h columns n/2 - h .. n/2 + h, h
+    the smallest power of two >= n/2 - lo.  numpy's pairwise summation
+    splits a power-of-two run in halves down to 128-element blocks, so
+    that span is a subtree of the tree over all n nodes and the columns
+    outside it add exact zeros: the sum is the full-width one, and only
+    the sign of an exactly-zero total can differ.  Rows stacked over
+    the components would hold all of them at once.
     """
     n = w.size
     # below 512 nodes one stacked sum, no per-component loop: pays on a root search's small groups
     if lo == 0 and hi == n:
         c = np.abs(vals) if magnitude else np.asarray(vals)
         return (c * w).sum(axis=-1)
+    h = 1 << (n // 2 - lo - 1).bit_length()
     dtype = float if magnitude else np.result_type(*vals, w)
-    row = np.zeros(np.shape(vals[0])[:-1] + (n,), dtype=dtype)
+    row = np.zeros(np.shape(vals[0])[:-1] + (2 * h,), dtype=dtype)
     sums = np.empty((len(vals),) + row.shape[:-1], dtype=dtype)
-    live, w_live = row[..., lo:hi], w[lo:hi]
+    live, w_live = row[..., lo - n // 2 + h:hi - n // 2 + h], w[lo:hi]
     for k, c in enumerate(vals):
         if magnitude:
             np.multiply(np.abs(c, out=live), w_live, out=live)
@@ -177,7 +184,9 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
     Each component is averaged with the full shifted-detuning rule
     (all alpha_i signs) applied at every weighted node and comes back
     shaped like grid.  Grids go in groups of _GROUP_SIZE points, the
-    integrand in row blocks, to bound the batched 3x3 solves.
+    integrand in row blocks, to bound the batched 3x3 solves; a block's
+    response is freed once it is copied into the level's output, so
+    one block's solve arrays are alive at a time.
     """
     grid = np.asarray(grid, dtype=float)
 
@@ -195,6 +204,8 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
                 r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[i:i + step, None])
                 for o, c in zip(out, r.components()):
                     o[i:i + step] = c
+                # freed before the next block builds its matrices
+                del r, c
             return tuple(out)
 
         parts.append(doppler_average(f, cfg.medium.v_doppler))

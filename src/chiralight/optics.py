@@ -345,9 +345,9 @@ def calibrate_coupling(cfg: ValidatedConfig, target: float, delta_p: float,
 
     def no_root(g_lo, g_hi):
         return NoRootInBracket(
-            f"N_g({float(lo)!r}) - target = {g_lo:.6g} and "  # unrounded ends
+            f"N_g({float(lo)!r}) - target = {g_lo:.6g} and "  # unrounded ends and target
             f"N_g({float(hi)!r}) - target = {g_hi:.6g} have the same sign; "
-            f"the target group index {target:g} is not reachable in this bracket")
+            f"the target group index {float(target)!r} is not reachable in this bracket")
 
     # the betas do not depend on kappa_e: solve each stencil input once
     with response_mod.reuse_betas():

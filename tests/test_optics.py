@@ -514,9 +514,18 @@ def test_calibration_evaluates_each_coupling_once(monkeypatch):
 
 
 def test_unreachable_calibration_target_raises():
-    message = ("N_g(1e-08) - target = -1e+09 and N_g(10000.0) - target = "
-               "-9.99771e+08 have the same sign; the target group index "
-               "1e+09 is not reachable in this bracket")
-    with pytest.raises(NoRootInBracket, match=f"^{re.escape(message)}$"):
-        optics.calibrate_coupling(presets.get("fig8ab").config(), 1e9,
-                                  0.0, 1e-8, 1e4)
+    cases = [
+        (1e9, 1e-8, 1e4,
+         "N_g(1e-08) - target = -1e+09 and N_g(10000.0) - target = -9.99771e+08 "
+         "have the same sign; the target group index 1000000000.0 is not "
+         "reachable in this bracket"),
+        # the target is printed unrounded, as the bracket ends are
+        (1000000.5, 1.0, 1.0000001,
+         "N_g(1.0) - target = -998393 and N_g(1.0000001) - target = -998393 "
+         "have the same sign; the target group index 1000000.5 is not "
+         "reachable in this bracket"),
+    ]
+    for target, lo, hi, message in cases:
+        with pytest.raises(NoRootInBracket, match=f"^{re.escape(message)}$"):
+            optics.calibrate_coupling(presets.get("fig8ab").config(), target,
+                                      0.0, lo, hi)
