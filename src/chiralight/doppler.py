@@ -18,8 +18,9 @@ v_d times the nodes still looks at the outermost node x[-1], weighted
 or not.  The test suite checks the average against an independent
 second quadrature and against an all-node evaluation.
 
-Integrands return a sequence of component arrays (last axis = kv) and
-averages come back as a tuple.  Reductions use numpy's pairwise
+Integrands return a sequence of component arrays (last axis = kv), or
+an iterable of row blocks' sequences with the level's size (points x
+nodes); averages come back as a tuple.  Reductions use numpy's pairwise
 summation over all n nodes of a level in a fixed order, the skipped
 ones as exact zeros, so results are deterministic.  A level's sums, L1
 floors and convergence test are array reductions over the stacked
@@ -27,9 +28,9 @@ floors and convergence test are array reductions over the stacked
 and the products are summed as they are; from 512 on each component's
 products pass through one zeroed row over the centred power-of-two span
 that holds the weighted nodes (a subtree of the pairwise tree, so the
-sum is the full-width one), reused across the components.  A level's
-values are dropped before f builds the next, and a row block's response
-before the next block is solved.
+sum is the full-width one), reused across the components.  Rows sum on
+their own, so each row block is summed as it is solved and dropped
+before the next: no level is held whole, and the bits stay.
 
 The nodes and weights are not computed at run time: they are read from
 ``gauss_hermite.npz`` in this package on the first hot average, never
@@ -144,14 +145,27 @@ def _rel_change(new, old, floor):
     return max(0.0, *(d / s for d, s in zip(change.tolist(), scale.tolist())))
 
 
+class _RowBlocks:
+    """A level's row blocks, each solved as iteration reaches it; size is
+    the level's points x nodes, as one whole-level component would be."""
+
+    def __init__(self, blocks, size):
+        self.blocks, self.size = blocks, size
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
 def doppler_average(f, v_d: float):
     """Average f(kv) over the Maxwellian weight of width v_d.
 
     f maps an array of kv samples to a sequence of complex component
     arrays (last axis = kv); the result is the tuple of their averages.
-    For v_d below the cold threshold the kv = 0 values are returned
-    exactly.  f is evaluated only at the nodes whose weight is not 0.0;
-    an error that f raises at one of them propagates unchanged.
+    hot_response's f returns a level as _RowBlocks instead, summed one
+    block at a time.  For v_d below the cold threshold the kv = 0 values
+    are returned exactly.  f is evaluated only at the nodes whose weight
+    is not 0.0; an error that f raises at one of them, in any row block,
+    propagates unchanged and no later block is solved.
     """
     if v_d < COLD_WIDTH:
         return tuple(v[..., 0] for v in f(np.zeros(1)))
@@ -163,14 +177,22 @@ def doppler_average(f, v_d: float):
         if not np.isfinite(v_d * top):
             raise CouplingOverflow(f"Gauss-Hermite nodes overflow at v_d = {v_d:g}")
         vals = f(v_d * x)
-        cur = _weighted_sum(vals, w, lo, hi) / _SQRT_PI
+        cur, l1 = [], []
+        for block in vals if isinstance(vals, _RowBlocks) else (vals,):
+            cur.append(_weighted_sum(block, w, lo, hi) / _SQRT_PI)
+            if prev is not None:
+                l1.append(_weighted_sum(block, w, lo, hi, magnitude=True))
+            # dropped before the next block is solved
+            del block
+        # drop this level's values before f builds the next, larger level
+        del vals
+        # the blocks' sums joined along the point axis (the last)
+        cur = np.concatenate(cur, axis=-1)
         if prev is not None:
-            l1 = _weighted_sum(vals, w, lo, hi, magnitude=True)
+            l1 = np.concatenate(l1, axis=-1)
             floor = l1.reshape(len(l1), -1).max(axis=1) / _SQRT_PI
             if _rel_change(cur, prev, floor) < REL_TOL:
                 return tuple(cur)
-        # drop this level's values before f builds the next, larger level
-        del vals
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
@@ -184,9 +206,9 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
     Each component is averaged with the full shifted-detuning rule
     (all alpha_i signs) applied at every weighted node and comes back
     shaped like grid.  Grids go in groups of _GROUP_SIZE points, the
-    integrand in row blocks, to bound the batched 3x3 solves; a block's
-    response is freed once it is copied into the level's output, so
-    one block's solve arrays are alive at a time.
+    integrand in row blocks, to bound the batched 3x3 solves; each block
+    is solved only as doppler_average sums it, so one block's solve
+    arrays are alive at a time and no level's values are held whole.
     """
     grid = np.asarray(grid, dtype=float)
 
@@ -196,17 +218,12 @@ def hot_response(cfg: ValidatedConfig, grid) -> response_mod.OpticalResponse:
 
         def f(kv, _sub=sub):
             step = max(1, _BLOCK_BUDGET // kv.size)
-            # one call, no copy into out: pays on a root search's small groups
+            # one call, no row blocks: pays on a root search's small groups
             if step >= _sub.size:
                 return response_mod.response_at(cfg, kv[None, :], delta_p=_sub[:, None]).components()
-            out = np.empty((4, _sub.size, kv.size), dtype=complex)
-            for i in range(0, _sub.size, step):
-                r = response_mod.response_at(cfg, kv[None, :], delta_p=_sub[i:i + step, None])
-                for o, c in zip(out, r.components()):
-                    o[i:i + step] = c
-                # freed before the next block builds its matrices
-                del r, c
-            return tuple(out)
+            blocks = (response_mod.response_at(cfg, kv[None, :], delta_p=_sub[i:i + step, None]).components()
+                      for i in range(0, _sub.size, step))
+            return _RowBlocks(blocks, _sub.size * kv.size)
 
         parts.append(doppler_average(f, cfg.medium.v_doppler))
     return response_mod.OpticalResponse(*(np.concatenate(c) for c in zip(*parts)))

@@ -379,12 +379,20 @@ def test_hot_response_scalar_and_chunked_grid_agree(subluminal_cfg):
 
 
 def test_row_blocks_keep_every_bit_and_cut_the_peak(subluminal_cfg, monkeypatch):
-    """The integrand in row blocks equals one whole-chunk batch bit for
-    bit, and the solve tensors no longer set the traced peak."""
+    """The integrand in row blocks equals one whole-group batch bit for
+    bit, with 1, 2 or one block per row on the padded 2048-node level
+    (1072 weighted nodes) where this grid converges, and the solve
+    tensors no longer set the traced peak."""
     grid = np.linspace(-1, 1, 41)
+    solve = doppler.response_mod.response_at
+    calls = []
+    monkeypatch.setattr(doppler.response_mod, "response_at",
+                        lambda cfg, kv, delta_p: calls.append((kv.size, delta_p.size)) or
+                        solve(cfg, kv, delta_p=delta_p))
 
     def run(budget):
         monkeypatch.setattr(doppler, "_BLOCK_BUDGET", budget)
+        calls.clear()
         tracemalloc.start()
         try:
             out = hot_response(subluminal_cfg, grid)
@@ -393,40 +401,78 @@ def test_row_blocks_keep_every_bit_and_cut_the_peak(subluminal_cfg, monkeypatch)
             tracemalloc.stop()
 
     whole, whole_peak = run(10**9)
-    blocked, blocked_peak = run(512)
-    for a, b in zip(blocked.components(), whole.components()):
-        assert np.array_equal(a, b)
+    assert calls[-1] == (1072, 41)
+    for budget, rows in ((41 * 1072, [41]), (21 * 1072, [21, 20]), (1072, [1] * 41),
+                         (512, [1] * 41)):
+        blocked, blocked_peak = run(budget)
+        assert [r for kv, r in calls if kv == 1072] == rows
+        for a, b in zip(blocked.components(), whole.components()):
+            assert a.tobytes() == b.tobytes()
     assert blocked_peak < 0.7 * whole_peak
+
+
+def test_an_error_in_a_row_block_is_the_error_of_the_average():
+    """A SingularSystem raised while a later row block of a level is
+    solved reaches the caller unchanged, and no block after it is
+    solved: neither the rest of the level nor the next level."""
+    cfg = with_overrides(presets.get("fig8ab").config(), medium={"v_doppler": 1.0})
+    grid = np.linspace(-1.0, 1.0, 35)
+    raised = errors.SingularSystem("condition number in a later row block")
+    solve = doppler.response_mod.response_at
+    for bad, rows in ((17, [15, 15]), (34, [15, 15, 5])):  # a middle row, the last row
+        calls = []
+
+        def planted(c, kv, delta_p):
+            calls.append((kv.size, delta_p.size))
+            if kv.size == 1072 and grid[bad] in delta_p:
+                raise raised
+            return solve(c, kv, delta_p=delta_p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doppler.response_mod, "response_at", planted)
+            with pytest.raises(errors.SingularSystem) as info:
+                hot_response(cfg, grid)
+        assert info.value is raised
+        # the 2048-node level runs in blocks of 15, 15 and 5 rows; the
+        # planted one is the last solved
+        assert [r for kv, r in calls if kv == 1072] == rows
+        assert calls[-1][0] == 1072
 
 
 # tracemalloc peak of the test below (numpy 2.4.6, Python 3.11.7): 13.75 MB
 # with one zeroed row per component and sum and the previous level's values
 # alive while f built the next; 10.30 MB with one full-width row and a row
 # block's response and denominator terms alive into the next block's solve;
-# 8.79 MB with the trimmed row and those freed, which leaves out (4.7 MB) and
-# one block's M (2.1 MB) and Y (1.4 MB) at the peak
-STENCIL_GRID_PEAK_BOUND = 9_000_000
+# 8.79 MB with the trimmed row and those freed, which left the level's whole
+# values (4.7 MB) and one block's M (2.1 MB) and Y (1.4 MB) at the peak;
+# 4.04 MB with each row block summed as it is solved, which leaves one
+# block's M and Y, for 35 points or 61
+STENCIL_GRID_PEAK_BOUND = 4_300_000
 
 
 def test_stencil_grid_peak_is_no_higher_than_before():
     """hot_response on a 35-point fig8ab stencil grid at v_d = 1, which
     climbs to the 8192-node level, peaks under tracemalloc no higher
-    than one trimmed row and one row block's arrays allow."""
+    than one row block's solve arrays allow.  So does a full 61-point
+    group, whose 8192-node level held whole would take 8.6 MB: the peak
+    does not grow with a group's point count."""
     cfg = with_overrides(presets.get("fig8ab").config(), medium={"v_doppler": 1.0})
-    grid = (np.linspace(-1.0, 1.0, 7)[:, None] + optics.DEFAULT_STEP * optics._STENCIL).ravel()
-    seen = []
+    stencil = (np.linspace(-1.0, 1.0, 7)[:, None] + optics.DEFAULT_STEP * optics._STENCIL).ravel()
+    assert stencil.size == 35
     hermite = doppler._hermite
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(doppler, "_hermite", lambda n: seen.append(n) or hermite(n))
-        hot_response(cfg, grid)  # loads the node table outside the trace
-    assert grid.size == 35 and max(seen) == 8192
-    tracemalloc.start()
-    try:
-        hot_response(cfg, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= STENCIL_GRID_PEAK_BOUND
+    for grid in (stencil, np.linspace(-1.0, 1.0, doppler._GROUP_SIZE)):
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doppler, "_hermite", lambda n: seen.append(n) or hermite(n))
+            hot_response(cfg, grid)  # loads the node table outside the trace
+        assert max(seen) == 8192
+        tracemalloc.start()
+        try:
+            hot_response(cfg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= STENCIL_GRID_PEAK_BOUND, grid.size
 
 
 def test_thermal_width_family_is_monotone_at_resonance():
