@@ -180,11 +180,11 @@ def cmd_spectrum(args) -> int:
     cfg, scenario = _resolve(args)
     vd_list = _float_list(args.vd, "--vd", scenario and scenario.vd_list,
                           cfg.medium.v_doppler)
+    configs = [with_overrides(cfg, medium={"v_doppler": float(vd)}) for vd in vd_list]
     # a thermal-width sweep only distinguishes hot curves; the cold
     # response is independent of v_doppler, so emit it once
-    runs = [(mode, with_overrides(cfg, medium={"v_doppler": float(vd)}))
-            for mode in _modes(args, scenario)
-            for vd in (vd_list if mode == "hot" else vd_list[:1])]
+    runs = [(mode, c) for mode in _modes(args, scenario)
+            for c in (configs if mode == "hot" else configs[:1])]
     grid = parse_grid(args.grid)
     import numpy as np
     from . import optics

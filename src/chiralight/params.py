@@ -33,9 +33,6 @@ from .errors import (
 
 C_LIGHT = 299792458.0  # speed of light, m/s
 
-DEFAULT_GAMMA_UNIT = 1.0e9  # gamma scale in SI angular frequency, rad/s
-DEFAULT_DIPOLE_RATIO = 5.3e-5  # mu_13 / (c * sigma_14)
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -81,12 +78,12 @@ class MediumParams:
     so the derived magnetic coupling is kappa_m = kappa_e * r_mu**2.
     """
 
-    gamma_unit: float = DEFAULT_GAMMA_UNIT
+    gamma_unit: float = 1.0e9  # gamma scale in SI angular frequency, rad/s
     omega_14: float = 1.0e4  # transition frequency, units of gamma
     length_L: float = 0.06  # medium length, meters
     v_doppler: float = 0.0  # Doppler width, units of gamma (0 = cold)
     density_coupling: float = 1.0  # kappa_e
-    dipole_ratio: float = DEFAULT_DIPOLE_RATIO  # r_mu
+    dipole_ratio: float = 5.3e-5  # r_mu = mu_13 / (c * sigma_14)
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,9 @@ def finite(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def check(system: SystemParams, medium: MediumParams) -> list:
-    """Return the complete list of violated invariants (empty if valid)."""
+def validate(system: SystemParams, medium: MediumParams) -> ValidatedConfig:
+    """Validate a configuration, raising with *all* violations at once
+    (the error's ``violations``, in rule order)."""
     errs = []
     for name in ("gamma_1", "gamma_2", "gamma_3", "gamma_4"):
         v = getattr(system, name)
@@ -163,12 +161,6 @@ def check(system: SystemParams, medium: MediumParams) -> list:
     if not finite(r) or not (0.0 <= r < 1.0):
         errs.append(NonPositiveCoupling(
             f"dipole_ratio must satisfy 0 <= r_mu < 1, got {r!r}"))
-    return errs
-
-
-def validate(system: SystemParams, medium: MediumParams) -> ValidatedConfig:
-    """Validate a configuration, raising with *all* violations at once."""
-    errs = check(system, medium)
     if errs:
         msg = "; ".join(str(e) for e in errs)
         raise ConfigurationError(f"invalid configuration: {msg}", violations=errs)
@@ -224,21 +216,18 @@ def from_dict(doc: dict, base: ValidatedConfig | None = None) -> ValidatedConfig
     return validate(replace(base.system, **sys_doc), replace(base.medium, **med_doc))
 
 
-def loads(text: str, base: ValidatedConfig | None = None) -> ValidatedConfig:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # bad JSON, too many digits, too deep
-        raise ConfigurationError(f"config is not valid JSON: {e}") from e
-    return from_dict(doc, base=base)
-
-
 def load_config(path, base: ValidatedConfig | None = None) -> ValidatedConfig:
+    """Read a JSON config file and merge it over ``base`` via from_dict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigurationError(f"cannot read config {path}: {e}") from e
-    return loads(text, base=base)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:  # bad JSON, too many digits, too deep
+        raise ConfigurationError(f"config is not valid JSON: {e}") from e
+    return from_dict(doc, base=base)
 
 
 def with_overrides(cfg: ValidatedConfig, system=None, medium=None) -> ValidatedConfig:

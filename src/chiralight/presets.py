@@ -57,96 +57,85 @@ _SUPERLUMINAL = dict(
 )
 
 
-CATALOG = {
-    "fig2a": Scenario(
-        name="fig2a",
-        note="subluminal family, omega_3 = 0.7 (susceptibility spectra)",
-        system=dict(_SUBLUMINAL),
-        medium=dict(v_doppler=0.5),
-        mode="cold",
+CATALOG = {s.name: s for s in (
+    Scenario("fig2a",
+             note="subluminal family, omega_3 = 0.7 (susceptibility spectra)",
+             system=dict(_SUBLUMINAL),
+             medium=dict(v_doppler=0.5),
+             mode="cold",
     ),
-    "fig2b": Scenario(
-        name="fig2b",
-        note="subluminal family, omega_3 = 1.0 (susceptibility spectra)",
-        system=dict(_SUBLUMINAL, omega_3=1.0),
-        medium=dict(v_doppler=0.5),
-        mode="cold",
+    Scenario("fig2b",
+             note="subluminal family, omega_3 = 1.0 (susceptibility spectra)",
+             system=dict(_SUBLUMINAL, omega_3=1.0),
+             medium=dict(v_doppler=0.5),
+             mode="cold",
     ),
-    "fig2e": Scenario(
-        name="fig2e",
-        note="subluminal family, strong omega_2 = 4 drive, narrow thermal "
-             "width 0.1 (vanishing electric absorption at resonance)",
-        system=dict(_SUBLUMINAL, omega_2=4.0),
-        medium=dict(v_doppler=0.1),
-        mode="cold",
+    Scenario("fig2e",
+             note="subluminal family, strong omega_2 = 4 drive, narrow thermal "
+                  "width 0.1 (vanishing electric absorption at resonance)",
+             system=dict(_SUBLUMINAL, omega_2=4.0),
+             medium=dict(v_doppler=0.1),
+             mode="cold",
     ),
-    "fig4a": Scenario(
-        name="fig4a",
-        note="superluminal family, omega_3 = 1.5 (susceptibility spectra)",
-        system=dict(_SUPERLUMINAL),
-        medium=dict(v_doppler=1.5),
-        mode="cold",
+    Scenario("fig4a",
+             note="superluminal family, omega_3 = 1.5 (susceptibility spectra)",
+             system=dict(_SUPERLUMINAL),
+             medium=dict(v_doppler=1.5),
+             mode="cold",
     ),
-    "fig4b": Scenario(
-        name="fig4b",
-        note="superluminal family, omega_3 = 5.0 (susceptibility spectra)",
-        system=dict(_SUPERLUMINAL, omega_3=5.0),
-        medium=dict(v_doppler=1.5),
-        mode="cold",
+    Scenario("fig4b",
+             note="superluminal family, omega_3 = 5.0 (susceptibility spectra)",
+             system=dict(_SUPERLUMINAL, omega_3=5.0),
+             medium=dict(v_doppler=1.5),
+             mode="cold",
     ),
-    "fig6": Scenario(
-        name="fig6",
-        note="subluminal family with omega_2 = 4, thermal-width stepping",
-        system=dict(_SUBLUMINAL, omega_2=4.0),
-        medium=dict(v_doppler=0.1),
-        mode="hot",
-        vd_list=(0.0, 0.1, 0.2, 0.3),
+    Scenario("fig6",
+             note="subluminal family with omega_2 = 4, thermal-width stepping",
+             system=dict(_SUBLUMINAL, omega_2=4.0),
+             medium=dict(v_doppler=0.1),
+             mode="hot",
+             vd_list=(0.0, 0.1, 0.2, 0.3),
     ),
-    "fig7a": Scenario(
-        name="fig7a",
-        note="superluminal family, omega_3 = 1.5, group index vs detuning "
-             "(6 cm cell)",
-        system=dict(_SUPERLUMINAL),
-        medium=dict(v_doppler=1.5),
+    Scenario("fig7a",
+             note="superluminal family, omega_3 = 1.5, group index vs detuning "
+                  "(6 cm cell)",
+             system=dict(_SUPERLUMINAL),
+             medium=dict(v_doppler=1.5),
     ),
-    "fig7b": Scenario(
-        name="fig7b",
-        note="superluminal family, omega_3 = 5.0, group index vs detuning "
-             "(6 cm cell)",
-        system=dict(_SUPERLUMINAL, omega_3=5.0),
-        medium=dict(v_doppler=1.5),
+    Scenario("fig7b",
+             note="superluminal family, omega_3 = 5.0, group index vs detuning "
+                  "(6 cm cell)",
+             system=dict(_SUPERLUMINAL, omega_3=5.0),
+             medium=dict(v_doppler=1.5),
     ),
-    "fig7e": Scenario(
-        name="fig7e",
-        note="superluminal family at zero probe detuning, group index and "
-             "velocity vs omega_3",
-        system=dict(_SUPERLUMINAL),
-        medium=dict(v_doppler=1.5),
-        omega3_list=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
+    Scenario("fig7e",
+             note="superluminal family at zero probe detuning, group index and "
+                  "velocity vs omega_3",
+             system=dict(_SUPERLUMINAL),
+             medium=dict(v_doppler=1.5),
+             omega3_list=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
     ),
-    "fig8ab": Scenario(
-        name="fig8ab",
-        note="pulse propagation, subluminal family constants "
-             "(delay without reshaping)",
-        system=dict(_SUBLUMINAL),
-        medium=dict(v_doppler=0.5),
-        pulse_constants={
-            "cold": {"n_0": 1415.65, "g_vd": 759.44},
-            "hot": {"n_0": 1618.15, "g_vd": 18.92},
-        },
+    Scenario("fig8ab",
+             note="pulse propagation, subluminal family constants "
+                  "(delay without reshaping)",
+             system=dict(_SUBLUMINAL),
+             medium=dict(v_doppler=0.5),
+             pulse_constants={
+                 "cold": {"n_0": 1415.65, "g_vd": 759.44},
+                 "hot": {"n_0": 1618.15, "g_vd": 18.92},
+             },
     ),
-    "fig8cd": Scenario(
-        name="fig8cd",
-        note="pulse propagation, superluminal family constants "
-             "(advancement without reshaping)",
-        system=dict(_SUPERLUMINAL),
-        medium=dict(v_doppler=1.5),
-        pulse_constants={
-            "cold": {"n_0": -2023.81, "g_vd": -9006.67},
-            "hot": {"n_0": -1487.22, "g_vd": -344.57},
-        },
+    Scenario("fig8cd",
+             note="pulse propagation, superluminal family constants "
+                  "(advancement without reshaping)",
+             system=dict(_SUPERLUMINAL),
+             medium=dict(v_doppler=1.5),
+             pulse_constants={
+                 "cold": {"n_0": -2023.81, "g_vd": -9006.67},
+                 "hot": {"n_0": -1487.22, "g_vd": -344.57},
+             },
     ),
-}
+)}
 
 ALIASES = {
     "fig2c": "fig2a", "fig3a": "fig2a", "fig3c": "fig2a",

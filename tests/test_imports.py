@@ -100,6 +100,10 @@ BUILD_ERRORS = {
         "configuration error: ConfigurationError: invalid configuration: v_doppler "
         "must be finite and >= 0, got -0.1\n"
         "  - NegativeDopplerWidth: v_doppler must be finite and >= 0, got -0.1\n",
+    "spectrum --preset fig2a --vd 0.1,-0.1 --grid -1:1:41":
+        "configuration error: ConfigurationError: invalid configuration: v_doppler "
+        "must be finite and >= 0, got -0.1\n"
+        "  - NegativeDopplerWidth: v_doppler must be finite and >= 0, got -0.1\n",
     "delay --preset fig7 --omega3 -1":
         "configuration error: ConfigurationError: invalid configuration: omega_3 "
         "must be finite and >= 0, got -1.0\n"
@@ -120,7 +124,8 @@ BUILD_ERRORS = {
     *((command, "", 2) for command in BUILD_ERRORS),
 ], ids=["import", "build-parser", "pulse-spec", "help", "preset-dump-fig8",
         "preset-dump-all", "unknown-preset", "bad-grid", "unknown-config-key",
-        "bad-tau0", "bad-delta", "bad-vd", "bad-second-vd", "bad-omega3"])
+        "bad-tau0", "bad-delta", "bad-vd", "bad-second-vd", "bad-second-cold-vd",
+        "bad-omega3"])
 def test_front_end_loads_no_numpy(tmp_path, command, prelude, expected):
     config = tmp_path / "unknown-key.json"
     config.write_text('{"system": {"omega_4": 1.0}}')

@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from chiralight import errors
-from chiralight.params import (MediumParams, SystemParams, check,
-                               derived_couplings, from_dict, load_config,
-                               loads, to_dict, validate, with_overrides)
+from chiralight.params import (MediumParams, SystemParams, derived_couplings,
+                               from_dict, load_config, to_dict, validate,
+                               with_overrides)
 from chiralight.presets import Scenario
 
 
@@ -22,7 +23,9 @@ def test_check_returns_every_violation_at_once():
     bad_sys = SystemParams(gamma_1=0.0, gamma_2=-1.0, alpha_1=0.5,
                            omega_1=-0.2, phi=float("nan"))
     bad_med = MediumParams(v_doppler=-0.5, length_L=0.0)
-    errs = check(bad_sys, bad_med)
+    with pytest.raises(errors.ConfigurationError) as exc:
+        validate(bad_sys, bad_med)
+    errs = exc.value.violations
     kinds = {type(e) for e in errs}
     assert errors.NonPositiveDecay in kinds
     assert errors.BadPropagationSign in kinds
@@ -30,6 +33,31 @@ def test_check_returns_every_violation_at_once():
     assert errors.NegativeDopplerWidth in kinds
     # gamma_1, gamma_2, alpha_1, omega_1, phi, v_doppler, length_L
     assert len(errs) == 7
+
+
+def _rule_of(name):
+    if name.startswith("gamma_") and name != "gamma_unit":
+        return errors.NonPositiveDecay
+    if name.startswith("alpha_"):
+        return errors.BadPropagationSign
+    if name == "v_doppler":
+        return errors.NegativeDopplerWidth
+    return errors.NonPositiveCoupling
+
+
+@pytest.mark.parametrize("section, name", [
+    *(("system", f.name) for f in fields(SystemParams)),
+    *(("medium", f.name) for f in fields(MediumParams)),
+])
+def test_every_field_has_a_rule(section, name):
+    """A NaN in any one field is exactly one violation of validate,
+    naming the field under its rule's class; a field added without a
+    rule fails here."""
+    with pytest.raises(errors.ConfigurationError) as exc:
+        from_dict({section: {name: float("nan")}})
+    (violation,) = exc.value.violations
+    assert type(violation) is _rule_of(name)
+    assert str(violation).startswith(f"{name} must ")
 
 
 def test_validate_raises_aggregate_with_violations():
@@ -71,8 +99,10 @@ def test_unknown_keys_are_hard_errors():
         from_dict({"system": {}, "medium": {}, "extra": {}})
 
 
-def test_loads_parses_json():
-    cfg = loads(json.dumps({"system": {"omega_2": 4.0}, "medium": {}}))
+def test_loads_parses_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": {"omega_2": 4.0}, "medium": {}}))
+    cfg = load_config(path)
     assert cfg.system.omega_2 == 4.0
     assert cfg.system.omega_1 == 0.1  # untouched default
 
@@ -119,11 +149,13 @@ def test_non_mapping_section_is_configuration_error(doc):
         from_dict(doc)
 
 
-def test_document_overrides_base_field_by_field():
+def test_document_overrides_base_field_by_field(tmp_path):
     base = validate(SystemParams(omega_3=1.5), MediumParams(v_doppler=0.3))
     cfg = from_dict({"system": {"omega_1": 0.2}}, base=base)
     assert cfg.system.omega_1 == 0.2
     assert cfg.system.omega_3 == 1.5
     assert cfg.medium.v_doppler == 0.3
+    path = tmp_path / "bad.json"
+    path.write_text('{"system": {')
     with pytest.raises(errors.ConfigurationError, match="not valid JSON"):
-        loads('{"system": {', base=base)
+        load_config(path, base=base)
