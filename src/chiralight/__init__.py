@@ -40,7 +40,7 @@ _EXPORTS = {name: module for module, names in (
     ("errors", "ChiralightError ConfigurationError NumericalError"),
     ("params", "SystemParams MediumParams PulseSpec ValidatedConfig validate "
                "derived_couplings load_config with_overrides"),
-    ("coherences", "ShiftedDetunings DenominatorTerms CoherenceCoefficients "
+    ("coherences", "ShiftedDetunings CoherenceCoefficients "
                    "shift_detunings denominator_terms solve_steady_state "
                    "steady_betas closed_form_betas"),
     ("response", "OpticalResponse response_at"),

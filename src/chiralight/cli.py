@@ -200,7 +200,7 @@ def cmd_spectrum(args) -> int:
                        np.full(grid.size, c.medium.v_doppler),
                        *(part(comp) for comp in resp.components()
                          for part in (np.real, np.imag)),
-                       curve.n_r, curve.N_g))
+                       np.real(curve.n_complex), curve.N_g))
     return _emit(args, {k: np.concatenate(cells)
                         for k, cells in zip(columns, zip(*series))})
 
@@ -273,8 +273,9 @@ def cmd_pulse(args) -> int:
     keys = ["input"] + [label for label, _, _ in series]
     # real n_0 and g_vd make |exp(-i k(nu) L)| = 1: every output
     # spectrum has the input's power
-    *power, spectrum = [np.abs(pulse_mod.normalized(tr.samples)) ** 2 for tr in
-                        [trace_in, *outputs, pulse_mod.input_spectrum(ps, nu)]]
+    *power, spectrum = [np.abs(pulse_mod.normalized(x)) ** 2 for x in
+                        [*(tr.samples for tr in [trace_in, *outputs]),
+                         pulse_mod.input_spectrum(ps, nu)]]
 
     step = 1 if args.full else max(1, pulse_mod.N_SAMPLES // 2048)
     metrics = ["peak_shift_ns", "width_ratio", "distortion", "n_0", "g_vd_si"]

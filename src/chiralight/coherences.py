@@ -66,15 +66,6 @@ class ShiftedDetunings:
 
 
 @dataclass(frozen=True)
-class DenominatorTerms:
-    """The complex diagonal terms A_1, A_3, A_2 of the coupled system."""
-
-    a1: object
-    a2: object
-    a3: object
-
-
-@dataclass(frozen=True)
 class CoherenceCoefficients:
     """The four probe-response coefficients.
 
@@ -101,8 +92,8 @@ def shift_detunings(s: SystemParams, kv, delta_p) -> ShiftedDetunings:
     )
 
 
-def denominator_terms(s: SystemParams, sd: ShiftedDetunings) -> DenominatorTerms:
-    """Complex diagonal terms of the coupled coherence equations.
+def denominator_terms(s: SystemParams, sd: ShiftedDetunings):
+    """Complex diagonal terms (a1, a2, a3) of the coupled coherence equations.
 
     a1 = i*d_p - (g1+g2)/2 and a3 = i*d_b - (g1+g2)/2 carry the
     one-photon widths; the ground-state coherence term
@@ -114,7 +105,7 @@ def denominator_terms(s: SystemParams, sd: ShiftedDetunings) -> DenominatorTerms
     a1 = 1j * np.asarray(sd.d_p) - g12
     a3 = 1j * np.asarray(sd.d_b) - g12
     a2 = 1j * (np.asarray(sd.d_p) - np.asarray(sd.d_2)) - gall
-    return DenominatorTerms(a1=a1, a2=a2, a3=a3)
+    return a1, a2, a3
 
 
 def _couplings(s: SystemParams):
@@ -124,7 +115,7 @@ def _couplings(s: SystemParams):
             0.5j * s.omega_2, -0.5j * s.omega_1)
 
 
-def build_system_matrix(s: SystemParams, dt: DenominatorTerms):
+def build_system_matrix(s: SystemParams, dt):
     """Coefficient matrix M of the steady state, shape (..., 3, 3).
 
     Rows for the unknown vector (rho_14, rho_13, rho_12):
@@ -141,7 +132,7 @@ def build_system_matrix(s: SystemParams, dt: DenominatorTerms):
     """
     b, c, d, f, g, h = _couplings(s)
     template = np.array([[0, b, c], [d, 0, f], [g, h, 0]], dtype=complex)
-    a1, a2, a3 = np.broadcast_arrays(dt.a1, dt.a2, dt.a3)
+    a1, a2, a3 = np.broadcast_arrays(*dt)
     M = np.empty(a1.shape + (3, 3), dtype=complex)
     M[...] = template
     M[..., 0, 0] = a1
@@ -150,7 +141,7 @@ def build_system_matrix(s: SystemParams, dt: DenominatorTerms):
     return M
 
 
-def _cofactor_expansion(s: SystemParams, dt: DenominatorTerms):
+def _cofactor_expansion(s: SystemParams, dt):
     """det M, then the nine cofactors C00, C01, ..., C22 of M, one at a time.
 
     adj M = C^T.  Each cofactor is a product of two diagonal terms, or
@@ -158,7 +149,7 @@ def _cofactor_expansion(s: SystemParams, dt: DenominatorTerms):
     Yielded one by one, so a caller holds few (grid x node) arrays at once.
     """
     b, c, d, f, g, h = _couplings(s)
-    a1, a2, a3 = dt.a1, dt.a2, dt.a3
+    a1, a2, a3 = dt
     row0 = (a3 * a2 - f * h, f * g - d * a2, d * h - a3 * g)
     yield a1 * row0[0] + b * row0[1] + c * row0[2]
     yield from row0
@@ -171,7 +162,7 @@ def _cofactor_expansion(s: SystemParams, dt: DenominatorTerms):
     yield a1 * a3 - b * d
 
 
-def _cond_bound(s: SystemParams, dt: DenominatorTerms) -> float:
+def _cond_bound(s: SystemParams, dt) -> float:
     """Upper bound sqrt(3)*||M||_F/lam on cond_F(M) over the batch, or inf.
 
     lam, the smallest eigenvalue of -(M + M^H)/2 at the batch's least
@@ -179,7 +170,8 @@ def _cond_bound(s: SystemParams, dt: DenominatorTerms) -> float:
     inf where lam <= 0, or outside 1e-70 <= lam, ||M||_F <= 1e70, where
     the exact pass over- or underflows.
     """
-    terms = list(map(np.asarray, (dt.a1, dt.a3, dt.a2)))
+    a1, a2, a3 = dt
+    terms = list(map(np.asarray, (a1, a3, a2)))
     d1, d3, d2 = (-float(a.real.max(initial=-np.inf)) for a in terms)
     half = 0.5 * s.omega_1
     margin = d3 * d2 - half * half  # det of the (rho_13, rho_12) block
@@ -194,7 +186,7 @@ def _cond_bound(s: SystemParams, dt: DenominatorTerms) -> float:
     return math.sqrt(3.0) * norm_m / lam if lam >= 1e-70 and norm_m <= 1e70 else math.inf
 
 
-def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
+def _frobenius_cond(s: SystemParams, dt):
     """Frobenius condition number ||M||_F * ||adj M||_F / |det M|, and det M.
 
     Built without assembling M; equal to the generic adjugate formula
@@ -205,12 +197,12 @@ def _frobenius_cond(s: SystemParams, dt: DenominatorTerms):
     norm_adj = np.sqrt(sum(np.abs(x) ** 2 for x in expansion))
     # numpy scalars: the same pow, but inf on overflow instead of OverflowError
     couplings = sum(np.float64(abs(x)) ** 2 for x in _couplings(s))
-    norm_m = np.sqrt(np.abs(dt.a3) ** 2 + np.abs(dt.a1) ** 2 + np.abs(dt.a2) ** 2
-                     + couplings)
+    a1, a2, a3 = dt
+    norm_m = np.sqrt(np.abs(a3) ** 2 + np.abs(a1) ** 2 + np.abs(a2) ** 2 + couplings)
     return norm_m * norm_adj / np.abs(det), det
 
 
-def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
+def _check_conditioning(s: SystemParams, dt) -> None:
     """Raise unless M is well conditioned everywhere.
 
     Returns at once where _cond_bound clears COND_LIMIT/2.  Otherwise
@@ -230,9 +222,9 @@ def _check_conditioning(s: SystemParams, dt: DenominatorTerms) -> None:
         raise CouplingOverflow("steady-state matrix overflows at huge detunings or fields")
     if not finite.all():
         raise SingularSystem("steady-state matrix is singular (det M = 0)")
-    # Im a1 is the shifted probe detuning d_p
+    # Im a1 (dt[0]) is the shifted probe detuning d_p
     worst = np.argmax(cond)
-    d_p = float(np.broadcast_to(np.imag(dt.a1), np.shape(cond)).flat[worst])
+    d_p = float(np.broadcast_to(np.imag(dt[0]), np.shape(cond)).flat[worst])
     raise SingularSystem(
         f"steady-state matrix condition number {float(cond.flat[worst]):.3e} exceeds "
         f"{COND_LIMIT:.1e} at shifted probe detuning d_p = {d_p:.6g}")

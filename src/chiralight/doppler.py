@@ -13,10 +13,10 @@ detuning grid in groups of 61 points that share that convergence test.
 The integrand is evaluated only at the nodes whose weight is not 0.0
 (from 512 nodes on, exp(-x^2) underflows at the outer ones); an error
 it raises at a node that carries weight (SingularSystem,
-CouplingOverflow) fails the average unchanged.  The overflow check on
-v_d times the nodes still looks at the outermost node x[-1], weighted
-or not.  The test suite checks the average against an independent
-second quadrature and against an all-node evaluation.
+CouplingOverflow) fails the average unchanged, and so does the overflow
+check on v_d times the largest node it evaluates.  The test suite
+checks the average against an independent second quadrature and
+against an all-node evaluation.
 
 Integrands return a sequence of component arrays (last axis = kv), or
 an iterable of row blocks' sequences with the level's size (points x
@@ -70,8 +70,7 @@ MAX_NODES = 16384
 _GROUP_SIZE = 61
 _BLOCK_BUDGET = 16384
 
-# per ladder level n: the positive weighted nodes x{n}, their weights
-# w{n} and the outermost node top{n}
+# per ladder level n: the positive weighted nodes x{n} and their weights w{n}
 _TABLE = "gauss_hermite.npz"
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -79,7 +78,7 @@ _SQRT_PI = np.sqrt(np.pi)
 
 @functools.cache
 def _hermite(n: int):
-    """Weighted nodes x[lo:hi], full-width weights w, lo, hi and x[-1].
+    """The nodes x of the n-node rule whose weight is not 0.0, and their weights w.
 
     exp(-x^2) underflows past |x| ~ 27, so from 512 nodes on the outer
     weights are exactly zero (at 8192 nodes only 2192 carry weight).
@@ -88,43 +87,40 @@ def _hermite(n: int):
     """
     with resources.files(__package__).joinpath(_TABLE).open("rb") as fh, \
             np.load(fh) as table:
-        half_x, half_w, top = table[f"x{n}"], table[f"w{n}"], float(table[f"top{n}"])
-    lo, hi = n // 2 - half_x.size, n // 2 + half_x.size
-    w = np.zeros(n)
-    w[lo:hi] = np.concatenate((half_w[::-1], half_w))
-    return np.concatenate((-half_x[::-1], half_x)), w, lo, hi, top
+        half_x, half_w = table[f"x{n}"], table[f"w{n}"]
+    return np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
 
 
-def _weighted_sum(vals, w, lo, hi, magnitude=False):
-    """(c * w).sum(axis=-1) for each component c of vals, stacked.
+def _weighted_sum(vals, w, n, magnitude=False):
+    """(c * w).sum(axis=-1) over all n nodes for each component c of vals, stacked.
 
-    The components are sampled at the nodes lo:hi only; with magnitude
-    the sums are of |c| * w.  Where every node carries weight (lo == 0
-    and hi == n) the stacked products are summed as they are.
-    Otherwise each component's products go into one zeroed row, reused
-    across the components, over the 2h columns n/2 - h .. n/2 + h, h
-    the smallest power of two >= n/2 - lo.  numpy's pairwise summation
+    The components are sampled at the w.size weighted nodes, the middle
+    of the n; with magnitude the sums are of |c| * w.  Where every node
+    carries weight (w.size == n) the stacked products are summed as they
+    are.  Otherwise each component's products go into one zeroed row,
+    reused across the components, over the 2h columns n/2 - h .. n/2 + h,
+    h the smallest power of two >= w.size/2.  numpy's pairwise summation
     splits a power-of-two run in halves down to 128-element blocks, so
-    that span is a subtree of the tree over all n nodes and the columns
-    outside it add exact zeros: the sum is the full-width one, and only
-    the sign of an exactly-zero total can differ.  Rows stacked over
+    that span is a subtree of the tree over all n nodes and the zero-weight
+    nodes outside it add exact zeros: the sum is the full-width one, and
+    only the sign of an exactly-zero total can differ.  Rows stacked over
     the components would hold all of them at once.
     """
-    n = w.size
     # below 512 nodes one stacked sum, no per-component loop: pays on a root search's small groups
-    if lo == 0 and hi == n:
+    if w.size == n:
         c = np.abs(vals) if magnitude else np.asarray(vals)
         return (c * w).sum(axis=-1)
-    h = 1 << (n // 2 - lo - 1).bit_length()
+    half = w.size // 2
+    h = 1 << (half - 1).bit_length()
     dtype = float if magnitude else np.result_type(*vals, w)
     row = np.zeros(np.shape(vals[0])[:-1] + (2 * h,), dtype=dtype)
     sums = np.empty((len(vals),) + row.shape[:-1], dtype=dtype)
-    live, w_live = row[..., lo - n // 2 + h:hi - n // 2 + h], w[lo:hi]
+    live = row[..., h - half:h + half]
     for k, c in enumerate(vals):
         if magnitude:
-            np.multiply(np.abs(c, out=live), w_live, out=live)
+            np.multiply(np.abs(c, out=live), w, out=live)
         else:
-            np.multiply(c, w_live, out=live)
+            np.multiply(c, w, out=live)
         row.sum(axis=-1, out=sums[k, ...])
     return sums
 
@@ -172,16 +168,17 @@ def doppler_average(f, v_d: float):
     prev = None
     n = NODE_COUNT
     while n <= MAX_NODES:
-        x, w, lo, hi, top = _hermite(n)
-        # the nodes are sorted and symmetric, so top = x[-1] is the largest
-        if not np.isfinite(v_d * top):
+        x, w = _hermite(n)
+        # the nodes are sorted and symmetric, so x[-1] is the largest; a
+        # Python float, so an overflow gives inf without a RuntimeWarning
+        if not np.isfinite(v_d * float(x[-1])):
             raise CouplingOverflow(f"Gauss-Hermite nodes overflow at v_d = {v_d:g}")
         vals = f(v_d * x)
         cur, l1 = [], []
         for block in vals if isinstance(vals, _RowBlocks) else (vals,):
-            cur.append(_weighted_sum(block, w, lo, hi) / _SQRT_PI)
+            cur.append(_weighted_sum(block, w, n) / _SQRT_PI)
             if prev is not None:
-                l1.append(_weighted_sum(block, w, lo, hi, magnitude=True))
+                l1.append(_weighted_sum(block, w, n, magnitude=True))
             # dropped before the next block is solved
             del block
         # drop this level's values before f builds the next, larger level

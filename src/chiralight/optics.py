@@ -59,11 +59,10 @@ class DispersionPoint:
 
     Fields are scalars at one detuning, arrays shaped like the grid on
     a curve.  n_complex is the full complex index before taking the real
-    part; n_r its real part.  v_g*N_g = c and tau = L*(N_g - 1)/c hold.
+    part.  v_g*N_g = c and tau = L*(N_g - 1)/c hold.
     """
 
     n_complex: object
-    n_r: object
     N_g: object
     v_g: object
     tau: object
@@ -177,8 +176,7 @@ def group_index_curve(cfg: ValidatedConfig, grid, mode: str = "cold",
     with np.errstate(divide="ignore"):
         v_g = C_LIGHT / n_g
     tau = cfg.medium.length_L * (n_g - 1.0) / C_LIGHT
-    curve = DispersionPoint(n_complex=n_c, n_r=np.real(n_c), N_g=n_g,
-                            v_g=v_g, tau=tau)
+    curve = DispersionPoint(n_complex=n_c, N_g=n_g, v_g=v_g, tau=tau)
     if return_response:
         return curve, response_mod.OpticalResponse(
             *(np.asarray(c)[inverse[:, 2]] for c in resp.components()))

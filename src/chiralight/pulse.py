@@ -116,15 +116,13 @@ def input_envelope(ps: PulseSpec, t) -> PulseTrace:
     return PulseTrace(grid=t, samples=samples)
 
 
-def input_spectrum(ps: PulseSpec, nu) -> PulseTrace:
+def input_spectrum(ps: PulseSpec, nu) -> np.ndarray:
     """Analytic input spectrum (tau_0/sqrt(2)) exp(-(nu-delta)^2 tau_0^2/4) on nu.
 
     Evaluates only: whether nu's band holds the spectrum is decided
     once, by frequency_grid.
     """
-    samples = (ps.tau_0 / np.sqrt(2.0)) * np.exp(
-        -((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
-    return PulseTrace(grid=nu, samples=samples)
+    return (ps.tau_0 / np.sqrt(2.0)) * np.exp(-((nu - ps.delta) ** 2) * ps.tau_0 ** 2 / 4.0)
 
 
 def medium_wavenumber(cfg: ValidatedConfig, ps: PulseSpec, mode: str = "cold"):
@@ -188,7 +186,7 @@ def propagate_numeric(ps: PulseSpec, k_rel, L: float, t=None) -> PulseTrace:
         slope = np.real(k_rel(np.array([dnu])) - k_rel(np.array([-dnu])))[0] / (2 * dnu)
         t = time_grid(ps, expected_peaks=(slope * L,))
     nu = frequency_grid(ps, t)
-    spec_in = input_spectrum(ps, nu).samples
+    spec_in = input_spectrum(ps, nu)
     live = spec_in != 0.0
     spec_out = np.zeros(nu.shape, dtype=complex)
     spec_out[live] = spec_in[live] * np.exp(-1j * np.asarray(k_rel(nu[live])) * L)

@@ -8,7 +8,7 @@ tree's ``src`` on ``PYTHONPATH``, parses every stdout into columns (CSV
 with a header row, or JSON: a list of records or one nested object,
 flattened to dotted paths) and prints, per command and column, the
 number of moved cells, the largest move at the column's scale and the
-first moved row:
+first moved row, and whether stderr moved:
 
     python tests/golden_diff.py BASE_SRC NEW_SRC ["COMMAND" ...]
 
@@ -17,14 +17,19 @@ fig8ab --mode hot"``.  A cell moved when its printed text differs.  The
 column's scale is the largest finite |value| the column prints on
 either side (1 where that is 0), and a move is |new - base| / scale; a
 cell that is not a finite number on both sides, or that one side lacks,
-moves by inf.  The exit status is 1 when any cell or exit code moved,
-else 0.  It is a script, not a test; ``tests/test_golden_diff.py``
-checks its parser and its scale rule.
+moves by inf.  stderr is compared line by line, with each tree's ``src``
+path replaced by ``<src>`` first (a warning names its file); a command
+whose stderr differs counts as one move, and the report prints its
+first differing pair of lines.  The exit status is 1 when any cell, exit
+code or stderr moved, else 0.  It is a script, not a test;
+``tests/test_golden_diff.py`` checks its parser, its scale rule and its
+stderr comparison.
 """
 
 import ast
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -54,12 +59,25 @@ def readme_commands():
     return [" ".join(words[1:]) for words in lines if words[:1] == ["chiralight"]]
 
 
+def scrub(text, src):
+    """text with the resolved path of src replaced by <src>."""
+    return text.replace(str(Path(src).resolve()), "<src>")
+
+
 def run(src, command):
-    """(exit code, stdout) of one command on the tree whose package is in src."""
+    """(exit code, stdout, scrubbed stderr) of one command on the tree whose
+    package is in src."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     done = subprocess.run([sys.executable, "-c", RUN, *shlex.split(command)],
                           env=env, capture_output=True, text=True, check=False)
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, scrub(done.stderr, src)
+
+
+def stderr_move(base, new):
+    """None when two stderr texts agree, else (line, base line, new line)
+    of the first differing pair; a line that one side lacks is None."""
+    pairs = itertools.zip_longest(base.splitlines(), new.splitlines())
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
 
 
 def _flatten(value, prefix, out):
@@ -130,17 +148,21 @@ def main(argv):
     commands = list(dict.fromkeys(golden_commands() + readme_commands() + extra))
     total = 0
     for command in commands:
-        (base_code, base_out), (new_code, new_out) = run(base_src, command), run(new_src, command)
+        (base_code, base_out, base_err), (new_code, new_out, new_err) = \
+            run(base_src, command), run(new_src, command)
         base, new = parse(base_out), parse(new_out)
         moves = column_moves(base, new)
         cells = sum(m[0] for m in moves.values())
-        total += cells + (base_code != new_code)
+        err = stderr_move(base_err, new_err)
+        total += cells + (base_code != new_code) + (err is not None)
         print(f"{command}: {cells} of {sum(map(len, base.values()))} cells moved, "
-              f"exit {base_code} -> {new_code}")
+              f"exit {base_code} -> {new_code}, stderr {'moved' if err else 'same'}")
         for key, (count, largest, row, a, b) in moves.items():
             print(f"  {key}: {count} moved, largest {largest:.3g} of scale, "
                   f"first at row {row}: {a} -> {b}")
-    print(f"{len(commands)} commands, {total} moved cells or exit codes")
+        if err:
+            print(f"  stderr: first differs at line {err[0]}: {err[1]!r} -> {err[2]!r}")
+    print(f"{len(commands)} commands, {total} moved cells, exit codes or stderr")
     return int(total > 0)
 
 

@@ -7,8 +7,10 @@ ladder level n = NODE_COUNT * 2^k <= MAX_NODES it stores, from
 ``scipy.special.roots_hermite(n)``:
 
 - ``x{n}``: the positive nodes whose weight is not 0.0, ascending;
-- ``w{n}``: their weights;
-- ``top{n}``: the outermost node x[-1], weighted or not.
+- ``w{n}``: their weights.
+
+Nodes whose weight is 0.0 (from 512 nodes on, where exp(-x^2)
+underflows) are left out: the average never evaluates them.
 
 The rule is exactly symmetric at every level (x == -x[::-1] and
 w == w[::-1] bit for bit), so the negative half is rebuilt by
@@ -46,7 +48,6 @@ def table():
         half = slice(n // 2, n // 2 + int(live[-1]) + 1)
         out[f"x{n}"] = x[half]
         out[f"w{n}"] = w[half]
-        out[f"top{n}"] = x[-1]
     return out
 
 

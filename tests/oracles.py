@@ -174,7 +174,7 @@ def full_band_propagation(ps, k_rel, L, t=None):
         slope = np.real(k_rel(np.array([dnu])) - k_rel(np.array([-dnu])))[0] / (2 * dnu)
         t = pulse.time_grid(ps, expected_peaks=(slope * L,))
     nu = pulse.frequency_grid(ps, t)
-    spec_in = pulse.input_spectrum(ps, nu).samples
+    spec_in = pulse.input_spectrum(ps, nu)
     spec_out = spec_in * np.exp(-1j * np.asarray(k_rel(nu)) * L)
     samples = pulse.idft(t, nu, spec_out)
     pulse._check_wraparound(samples)

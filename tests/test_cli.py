@@ -624,6 +624,12 @@ def test_overflowing_grid_span_exits_2_without_warnings(capsys, grid):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# between max/(outermost node) and max/(largest weighted node) of the
+# 512-node level: the conditioning guard answers there, at 64 nodes,
+# before the node check could
+NODE_WINDOW = {"medium": {"v_doppler": 6.2e306}}
+
+
 @pytest.mark.parametrize("argv, doc", [
     (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"),
      {"medium": {"v_doppler": 1e150}}),
@@ -633,8 +639,12 @@ def test_overflowing_grid_span_exits_2_without_warnings(capsys, grid):
     (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"),
      {"medium": {"v_doppler": 1e308}}),
     (("spectrum", "--preset", "fig6", "--vd", "1e308", "--grid", "-1:1:3"), {}),
+    (("spectrum", "--preset", "fig4a", "--mode", "hot", "--grid", "-1:1:3"), NODE_WINDOW),
+    (("spectrum", "--preset", "fig6", "--vd", "6.2e306", "--grid", "-1:1:3"), NODE_WINDOW),
+    (("calibrate", "--preset", "fig8ab", "--mode", "hot", "--target", "1600"), NODE_WINDOW),
 ], ids=["hot-v_doppler", "hot-omega_2", "crossover-omega_2",
-        "hot-v_doppler-nodes", "vd-sweep-nodes"])
+        "hot-v_doppler-nodes", "vd-sweep-nodes",
+        "hot-v_doppler-window", "vd-sweep-window", "calibrate-window"])
 def test_overflow_in_hot_average_is_not_a_pole(tmp_path, capsys, argv, doc):
     # overflowing Doppler nodes (v_doppler 1e308 times a node > 1) or
     # fields are no real-axis pole: the average reports the overflow
@@ -648,6 +658,8 @@ def test_overflow_in_hot_average_is_not_a_pole(tmp_path, capsys, argv, doc):
     assert err.startswith("numerical failure: CouplingOverflow:")
     assert len(err.splitlines()) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if doc is NODE_WINDOW:
+        assert "steady-state matrix overflows" in err
 
 
 # the hot average at a huge thermal width: a node that carries weight

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chiralight import coherences, doppler, errors, presets
 from chiralight.coherences import (COND_LIMIT, CoherenceCoefficients,
-                                   DenominatorTerms, _check_conditioning,
+                                   _check_conditioning,
                                    _cond_bound,
                                    _cofactor_expansion, _frobenius_cond,
                                    build_system_matrix,
@@ -101,22 +101,22 @@ def test_denominator_terms_structure():
     s = SystemParams(delta_p=0.3, delta_2=0.05, gamma_1=0.1, gamma_2=0.3,
                      gamma_3=0.5, gamma_4=0.7)
     sd = shift_detunings(s, 0.0, s.delta_p)
-    dt = denominator_terms(s, sd)
-    assert complex(dt.a1) == pytest.approx(0.3j - 0.2)
-    assert complex(dt.a3) == pytest.approx(0.0j - 0.2)
+    a1, a2, a3 = denominator_terms(s, sd)
+    assert complex(a1) == pytest.approx(0.3j - 0.2)
+    assert complex(a3) == pytest.approx(0.0j - 0.2)
     # ground-state coherence: two-photon detuning and all four widths
-    assert complex(dt.a2) == pytest.approx(0.25j - 0.8)
+    assert complex(a2) == pytest.approx(0.25j - 0.8)
 
 
 def test_system_matrix_matches_hand_expansion():
     s = _cfg(**POINT_A).system
     sd = shift_detunings(s, KV_A, s.delta_p)
-    dt = denominator_terms(s, sd)
+    a1, a2, a3 = dt = denominator_terms(s, sd)
     M = build_system_matrix(s, dt)
     want = np.array([
-        [dt.a1, 0.5j * s.omega_3 * np.exp(1j * s.phi), 0.5j * s.omega_2],
-        [0.5j * s.omega_3 * np.exp(-1j * s.phi), dt.a3, 0.5j * s.omega_1],
-        [0.5j * s.omega_2, -0.5j * s.omega_1, dt.a2],
+        [a1, 0.5j * s.omega_3 * np.exp(1j * s.phi), 0.5j * s.omega_2],
+        [0.5j * s.omega_3 * np.exp(-1j * s.phi), a3, 0.5j * s.omega_1],
+        [0.5j * s.omega_2, -0.5j * s.omega_1, a2],
     ])
     assert np.allclose(M, want, rtol=0, atol=0)
 
@@ -186,15 +186,15 @@ def test_broadcast_grid_times_nodes():
 def test_singular_matrix_raises():
     # M = diag(1, 1, 1e-13): controls off, A1 = A3 = 1, A2 = 1e-13
     s = SystemParams(omega_1=0.0, omega_2=0.0, omega_3=0.0)
-    dt = DenominatorTerms(a1=np.array([1.0 + 0j]), a2=np.array([1e-13 + 0j]),
-                          a3=np.array([1.0 + 0j]))
+    # (a1, a2, a3)
+    dt = (np.array([1.0 + 0j]), np.array([1e-13 + 0j]), np.array([1.0 + 0j]))
     assert np.array_equal(build_system_matrix(s, dt)[0],
                           np.diag([1.0, 1.0, 1e-13]).astype(complex))
     with pytest.raises(errors.SingularSystem, match="condition number"):
         _check_conditioning(s, dt)
     # the message names the shifted probe detuning (Im a1) of the worst point
-    dt = DenominatorTerms(a1=np.array([1.0 + 0.5j, 1.0 - 2.5j]),
-                          a2=np.array([1.0 + 0j, 1e-13 + 0j]), a3=np.array([1.0 + 0j]))
+    dt = (np.array([1.0 + 0.5j, 1.0 - 2.5j]), np.array([1.0 + 0j, 1e-13 + 0j]),
+          np.array([1.0 + 0j]))
     with pytest.raises(errors.SingularSystem,
                        match=r"condition number .* at shifted probe detuning d_p = -2\.5$"):
         _check_conditioning(s, dt)

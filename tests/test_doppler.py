@@ -265,11 +265,11 @@ def test_node_table_is_roots_hermite_bit_for_bit(n):
     x, w = roots_hermite(n)
     live = np.flatnonzero(w)
     lo, hi = int(live[0]), int(live[-1]) + 1
-    got_x, got_w, got_lo, got_hi, top = doppler._hermite(n)
-    assert (got_lo, got_hi) == (lo, hi)
+    got_x, got_w = doppler._hermite(n)
+    assert (lo, hi) == (n // 2 - got_w.size // 2, n // 2 + got_w.size // 2)
     assert got_x.tobytes() == x[lo:hi].tobytes()
-    assert got_w.tobytes() == w.tobytes()
-    assert np.float64(top).tobytes() == x[-1].tobytes()
+    assert got_w.tobytes() == w[lo:hi].tobytes()
+    assert not np.any(w[:lo]) and not np.any(w[hi:])
 
 
 @pytest.mark.parametrize("n", [n for n in LADDER if n >= 512])
@@ -282,7 +282,10 @@ def test_trimmed_row_sums_as_the_full_row_bit_for_bit(n):
     subtree whose outside sums to exact zeros: the span's sum is the
     full row's bit for bit.  A numpy release that changes the block
     size or the halving fails here first."""
-    _, w, lo, hi, _ = doppler._hermite(n)
+    _, w_live = doppler._hermite(n)
+    lo, hi = n // 2 - w_live.size // 2, n // 2 + w_live.size // 2
+    w = np.zeros(n)
+    w[lo:hi] = w_live
     h = 1 << (n // 2 - lo - 1).bit_length()
     # padded; 512 to 2048 nodes keep their width
     assert lo > 0 and {4096: 2048, 8192: 4096, 16384: 4096}.get(n, n) == 2 * h
@@ -299,7 +302,7 @@ def test_trimmed_row_sums_as_the_full_row_bit_for_bit(n):
             full = np.zeros((len(vals),) + points + (n,), dtype=float if magnitude else complex)
             full[..., lo:hi] = np.abs(vals) if magnitude else vals
             want = (full * w).sum(-1)
-            got = doppler._weighted_sum(vals, w, lo, hi, magnitude=magnitude)
+            got = doppler._weighted_sum(vals, w_live, n, magnitude=magnitude)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -311,7 +314,7 @@ def test_node_table_ships_in_the_package():
     with table.open("rb") as fh, np.load(fh) as data:
         keys = set(data.files)
     assert LADDER[0] == 64 and LADDER[-1] == 16384
-    assert keys == {f"{k}{n}" for n in LADDER for k in ("x", "w", "top")}
+    assert keys == {f"{k}{n}" for n in LADDER for k in ("x", "w")}
 
 
 def test_only_weighted_nodes_are_evaluated():
@@ -340,6 +343,31 @@ def test_quadrature_not_converged(monkeypatch):
     with pytest.raises(errors.QuadratureNotConverged) as info:
         doppler_average(lambda kv: (1.0 / (1.0 + 1j * kv),), 1.0)
     assert str(info.value) == "Gauss-Hermite average not converged to 1e-08 within 64 nodes"
+
+
+def test_overflow_check_reads_the_largest_evaluated_node():
+    """The overflow check is on v_d times the largest node the average
+    evaluates.  At v_d = 6.2e306 the outermost of 512 nodes (31.43) would
+    overflow, but it carries weight 0.0 and is never evaluated; the
+    largest weighted one (26.98) does not, so the 512-node level runs
+    and the average converges at 1024 nodes to the closed form
+    exp(-625) ~ 0, within 1e-12.  At 2e307 the 64-node level overflows."""
+    v_d = 6.2e306
+    sizes = []
+
+    def f(kv):
+        sizes.append(kv.size)
+        return (np.cos(50 * (kv / v_d)),)
+
+    (got,) = doppler_average(f, v_d)
+    assert abs(got) < 1e-12
+    assert sizes == [doppler._hermite(doppler.NODE_COUNT << k)[0].size for k in range(5)]
+    assert sizes[3] < 512  # the padded 512-node level was evaluated
+    v_d = 2e307
+    with pytest.raises(errors.CouplingOverflow) as info:
+        doppler_average(f, v_d)
+    assert str(info.value) == "Gauss-Hermite nodes overflow at v_d = 2e+307"
+    assert len(sizes) == 5  # no node evaluated at 2e307
 
 
 def test_hot_response_cold_limit(subluminal_cfg, default_cfg):

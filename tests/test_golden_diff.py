@@ -1,4 +1,5 @@
-"""The parser and the column-scale rule of ``tests/golden_diff.py``."""
+"""The parser, the column-scale rule and the stderr comparison of
+``tests/golden_diff.py``."""
 
 import math
 
@@ -58,3 +59,20 @@ def test_the_commands_are_the_golden_and_readme_ones():
     assert golden_diff.golden_commands() == list(GOLDEN)
     readme = golden_diff.readme_commands()
     assert "spectrum --preset fig6 --vd 0,0.1,0.2,0.3" in readme and len(readme) == 8
+
+
+def test_stderr_moves_at_its_first_differing_line_and_not_for_paths():
+    """Equal texts have not moved; one differing line is reported as the
+    first differing pair; a difference in each tree's src path alone is
+    scrubbed away, as run scrubs it."""
+    base = "warning: a\nnumerical failure: X\n"
+    assert golden_diff.stderr_move(base, base) is None
+    assert golden_diff.stderr_move("", "") is None
+    assert golden_diff.stderr_move(base, "warning: a\nnumerical failure: Y\n") == \
+        (1, "numerical failure: X", "numerical failure: Y")
+    assert golden_diff.stderr_move(base, "warning: a\n") == (1, "numerical failure: X", None)
+    warned = "{}/chiralight/doppler.py:9: RuntimeWarning: overflow\n"
+    a, b = (golden_diff.scrub(warned.format(f"/t{i}/src"), f"/t{i}/src") for i in (1, 2))
+    assert a == "<src>/chiralight/doppler.py:9: RuntimeWarning: overflow\n"
+    assert golden_diff.stderr_move(a, b) is None
+    assert golden_diff.stderr_move(warned.format("/t1/src"), warned.format("/t2/src"))[0] == 0

@@ -319,7 +319,7 @@ def _plant_group_indices(monkeypatch, cold, hot):
     """Replace the group index by cold(omega_3) / hot(omega_3)."""
     def fake(cfg, delta_p, mode="cold"):
         ng = (cold if mode == "cold" else hot)(cfg.system.omega_3)
-        return optics.DispersionPoint(ng, ng, ng, C_LIGHT / ng, 0.0)
+        return optics.DispersionPoint(ng, ng, C_LIGHT / ng, 0.0)
     monkeypatch.setattr(optics, "group_index_at", fake)
 
 

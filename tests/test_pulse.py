@@ -30,20 +30,20 @@ L = 0.06
 def test_input_spectrum_peak_value_and_location():
     ps = pulse.PulseSpec()
     nu = ps.delta + np.linspace(-40.0, 40.0, 801) / ps.tau_0
-    trace = pulse.input_spectrum(ps, nu)
-    i = int(np.argmax(np.abs(trace.samples)))
+    samples = pulse.input_spectrum(ps, nu)
+    i = int(np.argmax(np.abs(samples)))
     assert nu[i] == pytest.approx(ps.delta, abs=(nu[1] - nu[0]))
-    assert trace.samples[i] == pytest.approx(ps.tau_0 / np.sqrt(2.0), rel=1e-12)
+    assert samples[i] == pytest.approx(ps.tau_0 / np.sqrt(2.0), rel=1e-12)
     # 1/e point of the amplitude sits at nu = delta + 2/tau_0
     probe = (ps.tau_0 / np.sqrt(2.0)) * np.exp(-1.0)
     j = int(np.argmin(np.abs(nu - (ps.delta + 2.0 / ps.tau_0))))
-    assert trace.samples[j] == pytest.approx(probe, rel=1e-6)
+    assert samples[j] == pytest.approx(probe, rel=1e-6)
 
 
 def test_input_spectrum_symmetric_when_unshifted():
     ps = pulse.PulseSpec(delta=0.0)
     nu = np.linspace(-30.0, 30.0, 601) / ps.tau_0
-    s = pulse.input_spectrum(ps, nu).samples
+    s = pulse.input_spectrum(ps, nu)
     assert np.allclose(s, s[::-1], rtol=1e-12, atol=0)
 
 
@@ -53,7 +53,7 @@ def test_dft_of_envelope_matches_analytic_spectrum():
     ps = pulse.PulseSpec()
     env = pulse.input_envelope(ps, pulse.time_grid(ps))
     nu, spec = dft(env.grid, env.samples)
-    ref = pulse.input_spectrum(ps, nu).samples
+    ref = pulse.input_spectrum(ps, nu)
     mask = np.abs(ref) > 1e-6 * np.max(np.abs(ref))
     ratio = spec[mask] / ref[mask]
     assert np.allclose(ratio, np.sqrt(2.0 * np.pi), rtol=1e-8)
@@ -157,7 +157,7 @@ def test_wavenumber_is_sampled_once_on_the_spectrum_support(given_t):
     t = pulse.time_grid(ps, expected_peaks=(0.0, L * 1415.65 / C_LIGHT)) if given_t else None
     out = pulse.propagate_numeric(ps, k_rel, L, t)
     nu = pulse.frequency_grid(ps, out.grid)
-    support = nu[pulse.input_spectrum(ps, nu).samples != 0.0]
+    support = nu[pulse.input_spectrum(ps, nu) != 0.0]
     assert 0 < support.size < nu.size
     dnu = 1.0 / ps.tau_0
     slope_calls = [] if given_t else [np.array([dnu]), np.array([-dnu])]
@@ -214,7 +214,7 @@ def test_output_spectrum_is_transform_of_analytic_envelope():
     t = pulse.time_grid(ps, expected_peaks=(0.0, Tg))
     analytic = pulse.propagate_analytic(ps, n_0, g_vd, L, t)
     nu, spec = dft(t, analytic.samples)
-    ref = (pulse.input_spectrum(ps, nu).samples
+    ref = (pulse.input_spectrum(ps, nu)
            * np.exp(-1j * quadratic_wavenumber(n_0, g_vd)(nu) * L))
     assert l2_difference(spec, ref) < 1e-6
     back = pulse.idft(t, nu, ref * np.sqrt(2.0 * np.pi))

@@ -52,7 +52,7 @@ def test_tracer_counts_one_evaluation_per_point_and_weighted_node(monkeypatch):
     finally:
         tracer.uninstall()
     m = tracer.layer_metrics()
-    live = [hi - lo for _, _, lo, hi, _ in map(hermite, levels)]
+    live = [x.size for x, _ in map(hermite, levels)]
     assert levels == [doppler.NODE_COUNT << k for k in range(6)]  # up to 2048 nodes
     assert m["doppler.levels"] == len(levels)
     assert m["doppler.evals"] == len(optics._STENCIL) * sum(live) == 13640
@@ -76,7 +76,7 @@ def test_tracer_counts_a_level_in_row_blocks_exactly(monkeypatch):
     finally:
         tracer.uninstall()
     m = tracer.layer_metrics()
-    live = [hi - lo for _, _, lo, hi, _ in map(hermite, levels)]
+    live = [x.size for x, _ in map(hermite, levels)]
     assert levels == [doppler.NODE_COUNT << k for k in range(8)]  # up to 8192 nodes
     assert 35 * live[3] > doppler._BLOCK_BUDGET  # 512 nodes: two row blocks
     assert m["doppler.levels"] == len(levels)
