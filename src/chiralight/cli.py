@@ -251,21 +251,17 @@ def cmd_pulse(args) -> int:
     modes = _modes(args, scenario)
     ps = PulseSpec(tau_0=args.tau0 * 1e-9, delta=args.delta)
     L = cfg.medium.length_L
-    # quoted constants hold for the preset's own system and medium, any length_L
-    quoted = (scenario is not None and scenario.pulse_constants
-              and cfg == with_overrides(scenario.config(), medium={"length_L": L}))
     import numpy as np
     from . import optics, pulse as pulse_mod
     # (label, n_0, g_vd[SI]) per series, the constants quoted or computed
     if args.vacuum:
         series = [("vacuum", 1.0, 0.0)]
     else:
-        coeffs = [presets.pulse_dispersion_si(scenario, mode) if quoted
-                  else optics.dispersion_coefficients(cfg, mode=mode) for mode in modes]
+        coeffs = [presets.pulse_dispersion_si(scenario, cfg, mode)
+                  or optics.dispersion_coefficients(cfg, mode=mode) for mode in modes]
         series = [(mode, c["n_0"], c["g_vd"]) for mode, c in zip(modes, coeffs)]
 
-    peaks = [pulse_mod.arrival_time(ps, n_0, g_vd, L) for _, n_0, g_vd in series]
-    t = pulse_mod.time_grid(ps, expected_peaks=[0.0] + peaks)
+    t = pulse_mod.time_grid(ps, series=[(n_0, g_vd) for _, n_0, g_vd in series], L=L)
     nu = np.sort(pulse_mod.frequency_grid(ps, t))  # band check before any trace
     trace_in = pulse_mod.input_envelope(ps, t)
     outputs = [pulse_mod.propagate_analytic(ps, n_0, g_vd, L, t=t)
@@ -281,7 +277,7 @@ def cmd_pulse(args) -> int:
     metrics = ["peak_shift_ns", "width_ratio", "distortion", "n_0", "g_vd_si"]
     table = {"section": [], "x": [], **{k: [] for k in keys}}
     for section, x, cols in (("time", t / ps.tau_0, power),
-                             ("frequency", nu / ps.delta_w, [spectrum] * len(keys))):
+                             ("frequency", nu / (2 * np.pi / ps.tau_0), [spectrum] * len(keys))):
         table["section"] += [section] * x[::step].size
         for k, cells in zip(["x", *keys], [x, *cols]):
             table[k] += cells[::step].tolist()

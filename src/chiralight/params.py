@@ -108,11 +108,6 @@ class PulseSpec:
         if bad:
             raise BadPulseSpec("invalid pulse: " + "; ".join(bad))
 
-    @property
-    def delta_w(self) -> float:
-        """Spectral width unit 2*pi/tau_0 used for reporting."""
-        return 2.0 * math.pi / self.tau_0
-
 
 @dataclass(frozen=True)
 class ValidatedConfig:

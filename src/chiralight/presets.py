@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .params import C_LIGHT, ValidatedConfig, from_dict, to_dict
+from .params import C_LIGHT, ValidatedConfig, from_dict, to_dict, with_overrides
 
 
 @dataclass(frozen=True)
@@ -182,22 +182,18 @@ def expand(name: str) -> tuple:
     return (name,)
 
 
-def pulse_dispersion_si(scenario: Scenario, mode: str) -> dict:
-    """The scenario's quoted dispersion constants in SI units.
+def pulse_dispersion_si(scenario: Scenario | None, cfg: ValidatedConfig, mode: str) -> dict | None:
+    """The scenario's quoted constants for mode in SI units, or None unless
+    they describe cfg: they hold for its own system and medium, any length_L.
 
     The quoted GVD numbers are in units of 1/(c*gamma_unit^2);
     returns {'n_0': dimensionless, 'g_vd': s^2/m}.
     """
-    if mode not in scenario.pulse_constants:
-        raise ConfigurationError(
-            f"preset {scenario.name!r} carries no pulse constants for "
-            f"mode {mode!r}")
+    if (scenario is None or mode not in scenario.pulse_constants
+            or cfg != with_overrides(scenario.config(), medium={"length_L": cfg.medium.length_L})):
+        return None
     raw = scenario.pulse_constants[mode]
-    gamma_unit = scenario.config().medium.gamma_unit
-    return {
-        "n_0": raw["n_0"],
-        "g_vd": raw["g_vd"] / (C_LIGHT * gamma_unit ** 2),
-    }
+    return {"n_0": raw["n_0"], "g_vd": raw["g_vd"] / (C_LIGHT * cfg.medium.gamma_unit ** 2)}
 
 
 def dump(name: str) -> dict:

@@ -67,17 +67,24 @@ class PulseTrace:
     samples: object
 
 
-def time_grid(ps: PulseSpec, expected_peaks=(0.0,)) -> np.ndarray:
-    """Uniform time grid covering t = 0 and every expected peak.
+def time_grid(ps: PulseSpec, expected_peaks=(0.0,), series=(), L=0.0) -> np.ndarray:
+    """Uniform time grid covering t = 0, every expected peak and the output
+    pulse of each (n_0, g_vd) in series, propagated over L.
 
-    The window is at least WINDOW_TAU*tau_0 wide with a 16*tau_0
-    margin beyond the outermost peak, so both the input (at t = 0) and
-    delayed/advanced outputs fit without wrap-around.
+    The window is at least WINDOW_TAU*tau_0 wide.  Each output pulse,
+    broadened sqrt(1 + Xi^2)-fold with Xi = 2*L*g_vd/tau_0^2, gets a
+    16*tau_0*max(1, |Xi|) margin beyond its arrival_time, and every other
+    peak 16*tau_0, so no pulse wraps around.
     """
-    peaks = np.atleast_1d(np.asarray(expected_peaks, dtype=float))
     margin = 16.0 * ps.tau_0
-    lo = min(0.0, float(peaks.min())) - margin
-    hi = max(0.0, float(peaks.max())) + margin
+    spans = [(float(p), margin) for p in (0.0, *np.atleast_1d(expected_peaks))]
+    for n_0, g_vd in series:
+        # |Xi|*tau_0 in Python floats, tau_0 never squared: an absurd
+        # tau_0 leaves a finite window for frequency_grid to reject
+        spread = abs(2.0 * L * float(g_vd) / ps.tau_0)
+        spans.append((float(arrival_time(ps, n_0, g_vd, L)), 16.0 * max(ps.tau_0, spread)))
+    lo = min(p - m for p, m in spans)
+    hi = max(p + m for p, m in spans)
     width = hi - lo
     if width < WINDOW_TAU * ps.tau_0:
         pad = 0.5 * (WINDOW_TAU * ps.tau_0 - width)

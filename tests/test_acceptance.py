@@ -62,7 +62,7 @@ def _components_rel(a, b):
 
 def _analytic_and_numeric(preset_name, mode):
     scenario = presets.get(preset_name)
-    si = presets.pulse_dispersion_si(scenario, mode)
+    si = presets.pulse_dispersion_si(scenario, scenario.config(), mode)
     n_0, g_vd = si["n_0"], si["g_vd"]
     L = scenario.config().medium.length_L
     ps = pulse.PulseSpec()

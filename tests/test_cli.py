@@ -311,8 +311,9 @@ def test_pulse_quotes_constants_only_for_the_presets_own_medium(tmp_path, capsys
     assert code == 0
     metrics = {r["x"]: r["cold"] for r in parse_csv(out)[1] if r["section"] == "metric"}
     scenario = presets.get("fig8ab")
-    expected = (presets.pulse_dispersion_si(scenario, "cold") if quoted else
-                optics.dispersion_coefficients(load_config(path, base=scenario.config())))
+    cfg = load_config(path, base=scenario.config())
+    expected = (presets.pulse_dispersion_si(scenario, cfg, "cold") if quoted else
+                optics.dispersion_coefficients(cfg))
     assert metrics["n_0"] == _fmt(expected["n_0"])
     assert metrics["g_vd_si"] == _fmt(expected["g_vd"])
     assert (metrics["n_0"] == "1415.65") == quoted
@@ -332,6 +333,30 @@ def test_pulse_output_spectra_are_the_input_spectrum(capsys, argv, fmt):
     assert len(spectrum) == pulse.N_SAMPLES
     for row in spectrum:
         assert {row[k] for k in row if k not in ("section", "x")} == {row["input"]}
+
+
+@pytest.mark.parametrize("mode", ["cold", "hot", "both"])
+@pytest.mark.parametrize("name", sorted(presets.CATALOG))
+def test_printed_pulse_metrics_are_the_closed_forms(capsys, name, mode):
+    """Each output pulse is the first-order-dispersion Gaussian of its
+    printed n_0 and g_vd_si: width ratio sqrt(1 + Xi^2), peak shift the
+    arrival time and distortion 1 - sqrt(2 sqrt(1 + Xi^2) / (2 + Xi^2)),
+    Xi = 2 L g_vd / tau_0^2, however far the pulse is broadened."""
+    code, out, _ = run(capsys, "pulse", "--preset", name, "--mode", mode)
+    assert code == 0
+    header, rows = parse_csv(out)
+    metrics = {r["x"]: r for r in rows if r["section"] == "metric"}
+    ps = pulse.PulseSpec(tau_0=5.5 * 1e-9)
+    L = presets.get(name).config().medium.length_L
+    for label in header[3:]:
+        n_0, g_vd = float(metrics["n_0"][label]), float(metrics["g_vd_si"][label])
+        xi = 2 * L * g_vd / ps.tau_0 ** 2
+        broadening = np.sqrt(1 + xi ** 2)
+        assert float(metrics["width_ratio"][label]) == pytest.approx(broadening, rel=1e-9)
+        assert float(metrics["peak_shift_ns"][label]) * 1e-9 == pytest.approx(
+            pulse.arrival_time(ps, n_0, g_vd, L), abs=1e-4 * ps.tau_0)
+        assert float(metrics["distortion"][label]) == pytest.approx(
+            1 - np.sqrt(2 * broadening / (2 + xi ** 2)), abs=2e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ GOLDEN = {
     "preset-dump":
         "55731dece43ae94b8d6d86836faa59dd6648ea08e7db1631499b2c3206d7bb34",
     "pulse --preset fig2a":
-        "98b93050cebdf96f43908b48bf71b3cd90cefa5a245613cb644adcb633ae2bb7",
+        "18841e82369e288f8a5cbe8a49a9c81070a6fa80573945066da02cab2834a77e",
     "spectrum --preset fig2a --grid 0.3:5:1":
         "2b71f1617d184e8decede677e83987b7364d9583d346e6fb0f9823cfd98e215a",
     "spectrum --preset fig6 --vd 0,0.1 --grid -1:1:5":

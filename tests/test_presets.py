@@ -6,6 +6,7 @@ deliberate, visible diff.  A handful of family-defining literals are
 asserted directly so the fixtures are not purely self-referential.
 """
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -14,6 +15,7 @@ import pytest
 
 from chiralight import presets
 from chiralight.errors import ConfigurationError
+from chiralight.params import from_dict, with_overrides
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -102,12 +104,40 @@ def test_pulse_constants_and_si_conversion():
     assert cd.pulse_constants["cold"] == {"n_0": -2023.81, "g_vd": -9006.67}
     assert cd.pulse_constants["hot"] == {"n_0": -1487.22, "g_vd": -344.57}
 
-    si = presets.pulse_dispersion_si(ab, "cold")
+    si = presets.pulse_dispersion_si(ab, ab.config(), "cold")
     assert si["n_0"] == 1415.65
     assert si["g_vd"] == pytest.approx(759.44 / (2.99792458e8 * 1e18), rel=1e-12)
 
-    with pytest.raises(ConfigurationError, match="no pulse constants"):
-        presets.pulse_dispersion_si(presets.get("fig2a"), "cold")
+
+def _moved(name, value):
+    """A valid value of a config field other than its own."""
+    if name.startswith("alpha_"):
+        return -value
+    return value / 2 if name == "dipole_ratio" else 2 * value + 1
+
+
+@pytest.mark.parametrize("name", ["fig8ab", "fig8cd"])
+def test_quoted_pulse_constants_hold_only_for_the_presets_own_config(name):
+    """The quoted constants describe the preset's own system and medium
+    at any length_L; any other field moved, a preset quoting nothing or
+    no preset at all gives None, and the constants are computed."""
+    scenario = presets.get(name)
+    cfg = scenario.config()
+    for mode in ("cold", "hot"):
+        quoted = presets.pulse_dispersion_si(scenario, cfg, mode)
+        assert quoted["n_0"] == scenario.pulse_constants[mode]["n_0"]
+        shorter = with_overrides(cfg, medium={"length_L": 0.03})
+        assert presets.pulse_dispersion_si(scenario, shorter, mode) == quoted
+        for section, part in (("system", cfg.system), ("medium", cfg.medium)):
+            for field in dataclasses.fields(part):
+                if field.name == "length_L":
+                    continue
+                moved = from_dict({section: {field.name: _moved(field.name, getattr(part, field.name))}},
+                                  base=cfg)
+                assert presets.pulse_dispersion_si(scenario, moved, mode) is None, field.name
+        assert presets.pulse_dispersion_si(None, cfg, mode) is None
+    fig2a = presets.get("fig2a")
+    assert presets.pulse_dispersion_si(fig2a, fig2a.config(), "cold") is None
 
 
 def test_default_probe_detuning_is_resonant():

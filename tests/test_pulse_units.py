@@ -40,7 +40,7 @@ def test_both_readings_of_the_quoted_gvd(name, mode):
     scenario = presets.get(name)
     gamma = scenario.config().medium.gamma_unit
     assert scenario.pulse_constants[mode]["g_vd"] == raw
-    assert presets.pulse_dispersion_si(scenario, mode)["g_vd"] == pytest.approx(
+    assert presets.pulse_dispersion_si(scenario, scenario.config(), mode)["g_vd"] == pytest.approx(
         per_gamma2, rel=1e-11)
     assert raw / (C_LIGHT * gamma) == pytest.approx(per_gamma, rel=1e-11)
     assert gamma == 1e9
@@ -61,6 +61,7 @@ def test_two_routes_of_one_pulse_command_disagree_by_nine_orders(tmp_path, capsy
     kappa.write_text(json.dumps({"medium": {"density_coupling": 0.875712989027}}))
     computed = _metrics(capsys, "--preset", "fig8ab", "--mode", "cold", "--config", str(kappa))
     assert (computed["n_0"], computed["g_vd_si"]) == ("1415.65", "6.57628371382e-15")
+    assert (computed["width_ratio"], computed["distortion"]) == ("26.1068961045", "0.723421121044")
 
 
 @pytest.mark.parametrize("name, kappa, mode", list(COMPUTED))
