@@ -22,13 +22,17 @@ optics       cold or hot spectrum, refractive/group index, delays,
              crossover, calibration, first-order dispersion data
 pulse        Gaussian pulse spectra, propagation, metrics
 presets      named parameter sets for the documented scenarios
-cli          command-line front end (`chiralight`)
+commands     the bodies of the `chiralight` subcommands
+cli          command-line front end (`chiralight`): the argument grammar
 
-One exception, for start-up cost: cli's computing commands build every
+The exceptions, for start-up cost: cli imports only argparse and
+errors, and imports commands once a subcommand has been parsed, so
+building the parser, ``--help`` and usage errors load neither the
+configuration layer nor numpy.  The computing commands build every
 config and pulse spec they run, then import optics and pulse (and
-numpy) in their own bodies, so ``--help``, ``preset-dump`` and the
-configuration errors (but a root search's --tol and first bracket end)
-run without them.  For the same reason, re-exports load on first access.
+numpy) in their own bodies, so ``preset-dump`` and the configuration
+errors (but a root search's --tol and first bracket end) run without
+them.  For the same reason, re-exports load on first access.
 """
 
 import importlib

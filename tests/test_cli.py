@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 import chiralight
 from chiralight import optics, presets, pulse
-from chiralight.cli import _fmt, _jsonable, main, parse_grid
+from chiralight.cli import main
+from chiralight.commands import _fmt, _jsonable, parse_grid
 from chiralight.errors import ConfigurationError
 from chiralight.params import C_LIGHT, MediumParams, SystemParams, load_config, to_dict
 

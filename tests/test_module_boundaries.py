@@ -2,10 +2,12 @@
 
 Layers: every sibling import (``from . import x``, ``from .x import y``)
 names a module earlier in ``LAYERS``, so the package imports strictly
-downward, and sits at module level.  One exception, for start-up cost:
-``cli`` imports ``optics`` and ``pulse`` inside its functions, where the
-commands that compute run, so ``--help``, ``preset-dump`` and the
-configuration errors start without numpy and the numerical layers.  No
+downward, and sits at module level.  The exceptions, for start-up cost:
+``cli`` imports ``commands`` inside ``main``, once a subcommand has been
+parsed, so building the parser and ``--help`` load only ``errors``; and
+``commands`` imports ``optics`` and ``pulse`` inside the commands that
+compute, so ``preset-dump`` and the configuration errors start without
+numpy and the numerical layers.  No
 module imports through ``importlib.import_module`` or ``__import__``,
 which would hide an import from this scan.  ``__init__`` re-exports
 everything on first access and is exempt.
@@ -44,7 +46,7 @@ PACKAGE = ROOT / "src" / "chiralight"
 
 # the import order, lowest layer first
 LAYERS = ("errors", "params", "coherences", "response", "doppler", "optics",
-          "pulse", "presets", "cli")
+          "pulse", "presets", "commands", "cli")
 
 # (reading module, owning module, private name)
 ALLOWED = {
@@ -105,7 +107,7 @@ def test_only_params_constructs_a_config():
 
 
 # (importing module, imported module) that may sit inside a function
-DEFERRED = {("cli", "optics"), ("cli", "pulse")}
+DEFERRED = {("cli", "commands"), ("commands", "optics"), ("commands", "pulse")}
 
 # functions that import by name at run time
 DYNAMIC_IMPORTS = {"import_module", "__import__"}
